@@ -35,10 +35,18 @@
 //! `POST /v1/generate` exchange with and without a caller-supplied
 //! `x-rpg-trace-id` header, so the per-request tracing cost stays visible
 //! in every committed report.
+//!
+//! The term-at-a-time seed ranking pins its win with the
+//! `seed_bm25_taat` / `seed_bm25_reference` pair: the 48 survey queries of
+//! the `rpg serve` corpus ranked by the Scholar engine's BM25, once through
+//! a warm [`SearchScratch`] and once through the verbatim pre-rewrite scorer
+//! ([`rpg_textindex::bm25::reference`]).  The report carries the ratio as
+//! `seed_speedup_vs_reference`, and `--check` fails when the rewrite is not
+//! faster — host-independent, like the KMB pair.
 
 use crate::micro_corpus;
-use rpg_corpus::Corpus;
-use rpg_engines::Query;
+use rpg_corpus::{generate, Corpus, CorpusConfig};
+use rpg_engines::{EngineIndex, Query, ScholarEngine};
 use rpg_graph::dijkstra::{self, DijkstraScratch};
 use rpg_graph::steiner::reference::steiner_tree_reference;
 use rpg_graph::steiner::{steiner_tree_with, SteinerScratch};
@@ -51,6 +59,8 @@ use rpg_repager::weights::NodeWeights;
 use rpg_repager::RepagerConfig;
 use rpg_server::{client, IoBackendChoice, Server, ServerConfig};
 use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, PathService};
+use rpg_textindex::bm25::{self, Bm25Index, Bm25Params};
+use rpg_textindex::SearchScratch;
 use serde::value::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,6 +146,14 @@ impl BenchReport {
         (new > 0.0).then(|| old / new)
     }
 
+    /// The reference-vs-rewrite speedup of seed ranking
+    /// (`reference_median / taat_median`), when both benches ran.
+    pub fn seed_speedup(&self) -> Option<f64> {
+        let new = self.result("seed_bm25_taat")?.median_ns as f64;
+        let old = self.result("seed_bm25_reference")?.median_ns as f64;
+        (new > 0.0).then(|| old / new)
+    }
+
     /// The spec-build-versus-snapshot-load speedup
     /// (`build_median / load_median`), when both benches ran — the
     /// startup/reload win the snapshot subsystem buys on this host.
@@ -191,6 +209,12 @@ impl BenchReport {
         if let Some(speedup) = self.kmb_speedup() {
             fields.push((
                 "kmb_speedup_vs_reference".to_string(),
+                Value::Number(speedup),
+            ));
+        }
+        if let Some(speedup) = self.seed_speedup() {
+            fields.push((
+                "seed_speedup_vs_reference".to_string(),
                 Value::Number(speedup),
             ));
         }
@@ -435,6 +459,7 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         },
     ));
 
+    run_seed_benches(iters, &mut results);
     run_idle_exchange_benches(iters, &mut results);
     run_traced_exchange_benches(&corpus, iters, &mut results);
 
@@ -446,6 +471,55 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         instance: instance.shape,
         results,
     }
+}
+
+/// The `seed_bm25_{taat,reference}` pair: one iteration ranks all 48
+/// survey queries of the `rpg serve` corpus (`CorpusConfig::small()`, seed
+/// `0xDE40`) with the Scholar engine's BM25 parameters, cut to the default
+/// seed count — through a warm [`SearchScratch`], then through the verbatim
+/// pre-rewrite scorer on the same index.
+fn run_seed_benches(iters: Iterations, results: &mut Vec<BenchResult>) {
+    let corpus = generate(&CorpusConfig {
+        seed: 0xDE40,
+        ..CorpusConfig::small()
+    });
+    let index = EngineIndex::build(&corpus);
+    let bm25 = Bm25Index::new(
+        index.inverted(),
+        Bm25Params {
+            title_boost: ScholarEngine::config().title_boost,
+            ..Default::default()
+        },
+    );
+    let queries: Vec<&str> = corpus
+        .survey_bank()
+        .iter()
+        .map(|s| s.query.as_str())
+        .collect();
+    let limit = RepagerConfig::default().seed_count;
+    let mut scratch = SearchScratch::new();
+    results.push(run_bench(
+        "seed_bm25_taat",
+        iters.service,
+        iters.warmup,
+        || {
+            queries
+                .iter()
+                .map(|q| bm25.search_with(q, limit, &mut scratch).len())
+                .sum::<usize>()
+        },
+    ));
+    results.push(run_bench(
+        "seed_bm25_reference",
+        iters.service,
+        iters.warmup,
+        || {
+            queries
+                .iter()
+                .map(|q| bm25::reference::search(&bm25, q, limit).len())
+                .sum::<usize>()
+        },
+    ));
 }
 
 /// Idle keep-alive connections held open while the per-backend exchange
@@ -630,13 +704,15 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, u64)>, String> {
 
 /// The CI regression gate.
 ///
-/// Two checks, both against numbers measured *in this run* or in the
+/// Three checks, all against numbers measured *in this run* or in the
 /// committed baseline:
 ///
 /// 1. **same-host invariant** — the rewritten KMB kernel must not be slower
 ///    than the pre-rewrite reference measured in the same process.  This is
 ///    completely host-independent and is the teeth of the ≥ speedup claim.
-/// 2. **trajectory gate** — the KMB median must not exceed
+/// 2. **seed invariant** — likewise, the term-at-a-time seed ranking must
+///    be faster than the in-process reference scorer.
+/// 3. **trajectory gate** — the KMB median must not exceed
 ///    `max_regression ×` the committed baseline's median.  Absolute
 ///    nanoseconds differ between hosts, which is exactly why the threshold
 ///    is a generous factor (2× by default) rather than a tight bound.
@@ -652,6 +728,15 @@ pub fn check_regression(
             failures.push(format!(
                 "steiner_tree_kmb is slower than the in-process reference \
                  (speedup {speedup:.2}x < 1.0x)"
+            ));
+        }
+    }
+
+    if let Some(speedup) = report.seed_speedup() {
+        if speedup <= 1.0 {
+            failures.push(format!(
+                "seed_bm25_taat is not faster than the in-process reference \
+                 (speedup {speedup:.2}x <= 1.0x)"
             ));
         }
     }
@@ -763,6 +848,36 @@ mod tests {
     }
 
     #[test]
+    fn check_fails_when_seed_rewrite_is_not_faster_than_reference() {
+        let mut report = fake_report();
+        let seed = |name: &str, median_ns| BenchResult {
+            name: name.to_string(),
+            iters: 10,
+            median_ns,
+            min_ns: median_ns,
+            mean_ns: median_ns,
+            throughput_per_sec: 1e9 / median_ns as f64,
+        };
+        report.results.push(seed("seed_bm25_taat", 2_000));
+        report.results.push(seed("seed_bm25_reference", 30_000));
+        let baseline = vec![("steiner_tree_kmb".to_string(), 100_000u64)];
+        check_regression(&report, &baseline, 2.0).unwrap();
+        assert!((report.seed_speedup().unwrap() - 15.0).abs() < 1e-9);
+        assert!(
+            report
+                .to_value()
+                .get("seed_speedup_vs_reference")
+                .and_then(Value::as_f64)
+                .unwrap()
+                > 14.9
+        );
+        // Equal medians are not a win.
+        report.results.last_mut().unwrap().median_ns = 2_000;
+        let err = check_regression(&report, &baseline, 2.0).unwrap_err();
+        assert!(err.contains("seed_bm25_taat is not faster"), "{err}");
+    }
+
+    #[test]
     fn missing_baseline_bench_is_an_error() {
         let report = fake_report();
         let err = check_regression(&report, &[], 2.0).unwrap_err();
@@ -807,6 +922,8 @@ mod tests {
             "service_generate_cache_hit".to_string(),
             "snapshot_artifacts_build".to_string(),
             "snapshot_artifacts_load".to_string(),
+            "seed_bm25_taat".to_string(),
+            "seed_bm25_reference".to_string(),
         ];
         for backend in available_backends() {
             expected.push(format!(
@@ -818,6 +935,7 @@ mod tests {
             assert!(report.result(name).is_some(), "bench {name} missing");
         }
         assert!(report.kmb_speedup().is_some());
+        assert!(report.seed_speedup().is_some());
         assert!(
             report.snapshot_load_speedup().is_some(),
             "the snapshot cold-start pair must both run"

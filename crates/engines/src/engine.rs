@@ -11,7 +11,8 @@
 use rpg_corpus::{Corpus, PaperId};
 use rpg_textindex::bm25::{Bm25Index, Bm25Params};
 use rpg_textindex::inverted::InvertedIndex;
-use rpg_textindex::tfidf::{sort_ranking, ScoredDoc, TfIdfIndex};
+use rpg_textindex::tfidf::{ScoredDoc, TfIdfIndex};
+use rpg_textindex::SearchScratch;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -197,42 +198,40 @@ impl LexicalEngine {
         self.config
     }
 
-    /// Scores all candidate papers for the query (before truncation), with
-    /// filters applied.  Exposed so the RePaGer seed stage can reuse it.
-    pub fn ranked_candidates(&self, query: &Query<'_>) -> Vec<ScoredDoc> {
-        let lexical: Vec<ScoredDoc> = match self.config.scoring {
-            LexicalScoring::Bm25 => {
-                let bm25 = Bm25Index::new(
-                    self.index.inverted(),
-                    Bm25Params {
-                        title_boost: self.config.title_boost,
-                        ..Default::default()
-                    },
-                );
-                bm25.search(query.text, usize::MAX)
+    /// Ranks the query term-at-a-time into `scratch` and returns up to
+    /// `query.top_k` papers.  The year/exclusion filters and the
+    /// citation/recency priors apply while the candidates are collected, so
+    /// only the top k are ever sorted.  The serving path keeps one scratch
+    /// per worker; [`SearchEngine::search`] uses a fresh one.
+    pub fn search_with(&self, query: &Query<'_>, scratch: &mut SearchScratch) -> Vec<PaperId> {
+        let keep = |s: ScoredDoc| {
+            let paper = PaperId(s.doc);
+            if !query.admits(paper, self.index.year(paper)) {
+                return None;
             }
-            LexicalScoring::TfIdf => {
-                let tfidf = TfIdfIndex::new(self.index.inverted(), self.config.title_boost);
-                tfidf.search(query.text, usize::MAX)
-            }
-        };
-        let mut scored: Vec<ScoredDoc> = lexical
-            .into_iter()
-            .filter(|s| query.admits(PaperId(s.doc), self.index.year(PaperId(s.doc))))
-            .map(|s| {
-                let paper = PaperId(s.doc);
-                let citation_prior = self.config.citation_weight
-                    * f64::from(self.index.citation_count(paper)).ln_1p();
-                let recency_prior = self.config.recency_weight
-                    * (f64::from(self.index.year(paper).saturating_sub(1990)) / 30.0);
-                ScoredDoc {
-                    doc: s.doc,
-                    score: s.score + citation_prior + recency_prior,
-                }
+            let citation_prior =
+                self.config.citation_weight * f64::from(self.index.citation_count(paper)).ln_1p();
+            let recency_prior = self.config.recency_weight
+                * (f64::from(self.index.year(paper).saturating_sub(1990)) / 30.0);
+            Some(ScoredDoc {
+                doc: s.doc,
+                score: s.score + citation_prior + recency_prior,
             })
-            .collect();
-        sort_ranking(&mut scored);
-        scored
+        };
+        let inverted = self.index.inverted();
+        let ranked = match self.config.scoring {
+            LexicalScoring::Bm25 => Bm25Index::new(
+                inverted,
+                Bm25Params {
+                    title_boost: self.config.title_boost,
+                    ..Default::default()
+                },
+            )
+            .search_filtered(query.text, query.top_k, scratch, keep),
+            LexicalScoring::TfIdf => TfIdfIndex::new(inverted, self.config.title_boost)
+                .search_filtered(query.text, query.top_k, scratch, keep),
+        };
+        ranked.iter().map(|s| PaperId(s.doc)).collect()
     }
 }
 
@@ -242,11 +241,7 @@ impl SearchEngine for LexicalEngine {
     }
 
     fn search(&self, query: &Query<'_>) -> Vec<PaperId> {
-        self.ranked_candidates(query)
-            .into_iter()
-            .take(query.top_k)
-            .map(|s| PaperId(s.doc))
-            .collect()
+        self.search_with(query, &mut SearchScratch::new())
     }
 }
 

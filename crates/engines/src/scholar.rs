@@ -3,13 +3,14 @@
 //! Google Scholar's observable behaviour in the paper's setting: keyword
 //! matching dominated by the title, with heavily cited papers floating up.
 //! This engine is also the seed-paper source for the RePaGer pipeline (Step 1
-//! of Section IV-A), so it exposes the underlying [`LexicalEngine`] for
-//! callers that need the full ranking rather than the truncated list.
+//! of Section IV-A), so it also ranks into a caller-provided
+//! [`SearchScratch`] for the serving path's per-worker reuse.
 
 use crate::engine::{
     EngineIndex, LexicalConfig, LexicalEngine, LexicalScoring, Query, SearchEngine,
 };
 use rpg_corpus::{Corpus, PaperId};
+use rpg_textindex::SearchScratch;
 use std::sync::Arc;
 
 /// The simulated Google Scholar engine.
@@ -42,14 +43,15 @@ impl ScholarEngine {
         }
     }
 
-    /// The underlying lexical engine (used by the RePaGer seed stage).
-    pub fn lexical(&self) -> &LexicalEngine {
-        &self.inner
-    }
-
     /// Convenience wrapper returning the top-K seed papers for RePaGer.
     pub fn seed_papers(&self, query: &Query<'_>) -> Vec<PaperId> {
         self.inner.search(query)
+    }
+
+    /// [`ScholarEngine::seed_papers`] with a caller-provided ranking
+    /// scratch (the RePaGer seed stage passes its per-worker one).
+    pub fn seed_papers_with(&self, query: &Query<'_>, scratch: &mut SearchScratch) -> Vec<PaperId> {
+        self.inner.search_with(query, scratch)
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! PR 1 gave the Steiner stage a shared Dijkstra workspace; this module
 //! widens that idea to every allocating stage of the pipeline.  A
-//! [`PipelineScratch`] bundles the KMB kernel's
-//! [`SteinerScratch`](rpg_graph::steiner::SteinerScratch) with the dense
+//! [`PipelineScratch`] bundles the seed engine's term-at-a-time
+//! [`SearchScratch`](rpg_textindex::SearchScratch), the KMB kernel's
+//! [`SteinerScratch`](rpg_graph::steiner::SteinerScratch) and the dense
 //! generation-stamped counters of seed reallocation, so a serving thread
-//! that keeps one scratch for its lifetime runs the steiner and realloc
-//! stages without rebuilding hash tables or reallocating buffers per
-//! request.
+//! that keeps one scratch for its lifetime runs the seed, realloc and
+//! steiner stages without rebuilding hash tables or reallocating buffers
+//! per request.
 //!
 //! The scratch also owns the pipeline's work counters: cumulative totals
 //! that [`run_pipeline`](crate::stages::run_pipeline) snapshots before and
@@ -20,6 +21,7 @@ use crate::stages::StageCounters;
 use rpg_graph::steiner::SteinerScratch;
 use rpg_graph::NodeId;
 use rpg_obs::trace::StageTrace;
+use rpg_textindex::SearchScratch;
 use std::time::Instant;
 
 /// Reusable buffers + cumulative work counters for one serving worker.
@@ -30,6 +32,8 @@ use std::time::Instant;
 #[derive(Debug, Default, Clone)]
 pub struct PipelineScratch {
     pub(crate) steiner: SteinerScratch,
+    /// The seed stage's term-at-a-time ranking buffers.
+    pub(crate) search: SearchScratch,
     /// Terminal translation buffer of the NEWST adapter.
     pub(crate) local_terminals: Vec<NodeId>,
     /// Dense co-occurrence counts over sub-graph local node ids (valid
@@ -105,7 +109,7 @@ impl PipelineScratch {
             steiner_paths_expanded: s.paths_expanded,
             steiner_paths_skipped: s.paths_skipped,
             steiner_pruned_leaves: s.pruned_leaves,
-            scratch_allocations: s.allocations + self.grow_events,
+            scratch_allocations: s.allocations + self.grow_events + self.search.allocations(),
             realloc_retries: self.realloc_retries,
         }
     }

@@ -5,9 +5,10 @@
 //! step — [`SeedStage`] → [`SubgraphStage`] → [`ReallocStage`] →
 //! [`SteinerStage`] → [`RenderStage`] — driven by [`run_pipeline`], which
 //! times every stage into a [`StageTimings`] so per-request hot spots are
-//! observable, and threads a shared [`PipelineScratch`] through the realloc
-//! and Steiner stages so the co-occurrence counting and the KMB heuristic's
-//! K single-source runs reuse one per-worker workspace.
+//! observable, and threads a shared [`PipelineScratch`] through the seed,
+//! realloc and Steiner stages so the term-at-a-time seed ranking, the
+//! co-occurrence counting and the KMB heuristic's K single-source runs reuse
+//! one per-worker workspace.
 //!
 //! The stages borrow the corpus artifacts through a [`StageContext`]; both
 //! the borrowing [`crate::system::RePaGer`] facade and the owned
@@ -144,7 +145,7 @@ pub struct StageContext<'a> {
     pub request: &'a PathRequest<'a>,
     /// The request's configuration with the variant's ablations applied.
     pub config: RepagerConfig,
-    /// Reusable per-worker workspace for the realloc and Steiner stages.
+    /// Reusable per-worker workspace for the seed, realloc and Steiner stages.
     pub scratch: &'a mut PipelineScratch,
 }
 
@@ -179,12 +180,13 @@ impl Stage for SeedStage {
     }
 
     fn run(&self, cx: &mut StageContext<'_>, _input: ()) -> Result<Vec<PaperId>, GraphError> {
-        Ok(cx.scholar.seed_papers(&Query {
+        let query = Query {
             text: cx.request.query,
             top_k: cx.config.seed_count,
             max_year: cx.request.max_year,
             exclude: cx.request.exclude,
-        }))
+        };
+        Ok(cx.scholar.seed_papers_with(&query, &mut cx.scratch.search))
     }
 }
 
@@ -577,5 +579,51 @@ mod tests {
         assert_eq!(labels.len(), 6);
         assert!(labels.contains(&"steiner_runs"));
         assert!(labels.contains(&"scratch_allocations"));
+    }
+
+    #[test]
+    fn warmed_scratch_runs_the_seed_stage_without_allocating() {
+        // The `rpg serve` default corpus and its 48 survey queries, as the
+        // server's miss path runs them.
+        let artifacts = crate::artifacts::CorpusArtifacts::build(rpg_corpus::generate(
+            &rpg_corpus::CorpusConfig {
+                seed: 0xDE40,
+                ..rpg_corpus::CorpusConfig::small()
+            },
+        ))
+        .unwrap();
+        let bank = artifacts.corpus().survey_bank();
+        assert_eq!(bank.iter().count(), 48);
+        let mut scratch = PipelineScratch::new();
+        let sweep = |scratch: &mut PipelineScratch| {
+            let before = scratch.counters();
+            for survey in bank.iter() {
+                let exclude = [survey.paper];
+                let request = PathRequest {
+                    max_year: Some(survey.year),
+                    exclude: &exclude,
+                    ..PathRequest::new(&survey.query, 30)
+                };
+                let mut cx = StageContext {
+                    corpus: artifacts.corpus(),
+                    scholar: artifacts.scholar(),
+                    node_weights: artifacts.node_weights(),
+                    request: &request,
+                    config: request.variant.apply(request.config),
+                    scratch: &mut *scratch,
+                };
+                assert!(!SeedStage.run(&mut cx, ()).unwrap().is_empty());
+            }
+            scratch.counters().since(&before).scratch_allocations
+        };
+        assert!(
+            sweep(&mut scratch) > 0,
+            "the cold sweep grows the seed buffers"
+        );
+        assert_eq!(
+            sweep(&mut scratch),
+            0,
+            "a warmed seed stage allocates nothing"
+        );
     }
 }

@@ -625,6 +625,7 @@ struct Shared {
     open_connections: AtomicUsize,
     shutdown: AtomicBool,
     counters: Counters,
+    hold: test_hooks::ComputeHold,
 }
 
 /// A running HTTP front end over a [`CorpusRegistry`].
@@ -695,6 +696,7 @@ impl Server {
             open_connections: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             counters,
+            hold: test_hooks::ComputeHold::default(),
         });
         let acceptor = {
             let shared = shared.clone();
@@ -809,12 +811,20 @@ impl Server {
         apply_manifest_to(&self.shared, manifest)
     }
 
+    /// The test suite's compute hold (see [`test_hooks::ComputeHold`]).
+    #[doc(hidden)]
+    pub fn compute_hold(&self) -> &test_hooks::ComputeHold {
+        &self.shared.hold
+    }
+
     /// Stops accepting, drains in-flight work, and joins every thread.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // A held worker could never post the reply the drain waits for.
+        self.shared.hold.release();
         // Unblock the acceptor's `accept()` with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
@@ -1315,6 +1325,7 @@ fn event_loop(shared: &Shared, me: &Arc<LoopShared>, mut poller: Box<dyn Poller>
                             if let Some(cancel) = &conn.cancel {
                                 cancel.store(true, Ordering::SeqCst);
                             }
+                            shared.hold.note_reset();
                         }
                         // A graceful FIN (possibly behind pipelined bytes):
                         // the reply is still owed and deliverable.
@@ -2597,12 +2608,79 @@ fn stage_trace(
 /// public API.
 #[doc(hidden)]
 pub mod test_hooks {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
 
     /// When armed, the next non-batch job panics *after* its reply is sent
     /// — past `run_job`'s pipeline guard — exercising the worker's
     /// in-flight release guard. Self-disarms on first use.
     pub static PANIC_AFTER_REPLY: AtomicBool = AtomicBool::new(false);
+
+    /// A per-server latch that parks compute workers after a non-batch
+    /// job's compute and before its reply, so a test holds the worker
+    /// pool busy exactly until it lets the work through, instead of
+    /// hoping an expensive request outlasts the staging. It also counts
+    /// the mid-compute client resets the event loops observed, so a test
+    /// can wait for a hangup to register before letting work through.
+    #[derive(Debug, Default)]
+    pub struct ComputeHold {
+        state: Mutex<HoldState>,
+        changed: Condvar,
+        resets: AtomicUsize,
+    }
+
+    #[derive(Debug, Default)]
+    struct HoldState {
+        held: bool,
+        /// Replies the held latch still lets through, one each.
+        passes: usize,
+    }
+
+    impl ComputeHold {
+        /// Parks every worker that finishes a compute from now on.
+        pub fn hold(&self) {
+            let mut state = self.lock();
+            state.held = true;
+            state.passes = 0;
+        }
+
+        /// Lets one parked (or the next) worker through while held.
+        pub fn pass_one(&self) {
+            self.lock().passes += 1;
+            self.changed.notify_all();
+        }
+
+        /// Lets parked and future workers through.
+        pub fn release(&self) {
+            self.lock().held = false;
+            self.changed.notify_all();
+        }
+
+        /// Mid-compute client resets observed so far.
+        pub fn resets(&self) -> usize {
+            self.resets.load(Ordering::SeqCst)
+        }
+
+        pub(crate) fn wait(&self) {
+            let mut state = self
+                .changed
+                .wait_while(self.lock(), |s| s.held && s.passes == 0)
+                .expect("no thread panics holding the compute hold");
+            if state.held {
+                state.passes -= 1;
+            }
+        }
+
+        pub(crate) fn note_reset(&self) {
+            self.resets.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn lock(&self) -> std::sync::MutexGuard<'_, HoldState> {
+            self.state
+                .lock()
+                .expect("no thread panics holding the compute hold")
+        }
+    }
 }
 
 /// Executes one popped job end to end: the cancellation and deadline gates
@@ -2706,6 +2784,7 @@ fn run_job(job: Job, shared: &Shared) {
             }))
             .unwrap_or_else(|_| Response::json(500, error_body("internal error")));
             close_span(&compute);
+            shared.hold.wait();
             // Sample before the send: once the client holds the response it
             // must also find the sample in /metrics and /v1/stats.
             metrics.latency.record(admitted_at.elapsed());

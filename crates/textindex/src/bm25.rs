@@ -2,10 +2,12 @@
 //!
 //! The Google-Scholar-like and Microsoft-Academic-like simulated engines rank
 //! with BM25 over a weighted combination of the title and body fields.
+//! Ranking is term-at-a-time (see [`crate::taat`]); the pre-rewrite
+//! per-document scorer survives as [`reference`], the differential oracle.
 
-use crate::inverted::{Field, InvertedIndex};
-use crate::tfidf::{sort_ranking, ScoredDoc};
-use crate::tokenize::tokenize;
+use crate::inverted::InvertedIndex;
+use crate::taat::{SearchScratch, TermModel};
+use crate::tfidf::ScoredDoc;
 use crate::DocId;
 use serde::{Deserialize, Serialize};
 
@@ -52,49 +54,152 @@ impl<'a> Bm25Index<'a> {
     /// floored at a small positive value so very common terms still count a
     /// little rather than negatively).
     pub fn idf(&self, term: &str) -> f64 {
+        self.idf_for(self.index.combined_document_frequency(term))
+    }
+
+    fn idf_for(&self, df: usize) -> f64 {
         let n = self.index.doc_count() as f64;
-        let df = self.index.combined_document_frequency(term) as f64;
+        let df = df as f64;
         let raw = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
         raw.max(0.01)
     }
 
+    /// Ranks every document containing at least one query term, returning the
+    /// top `limit` results.  Uses a fresh [`SearchScratch`]; serving paths
+    /// keep one per worker and call [`Bm25Index::search_with`].
+    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
+        self.search_with(query, limit, &mut SearchScratch::new())
+            .to_vec()
+    }
+
+    /// [`Bm25Index::search`] with a caller-provided scratch: one posting
+    /// walk per query token into buffers that a warm scratch never grows.
+    pub fn search_with<'s>(
+        &self,
+        query: &str,
+        limit: usize,
+        scratch: &'s mut SearchScratch,
+    ) -> &'s [ScoredDoc] {
+        self.search_filtered(query, limit, scratch, Some)
+    }
+
+    /// [`Bm25Index::search_with`] where `keep` filters and re-scores each
+    /// positive-scoring document before the top-`limit` cut (`None` drops
+    /// it) — how an engine applies its eligibility filters and ranking
+    /// priors without materialising the full ranking.
+    pub fn search_filtered<'s>(
+        &self,
+        query: &str,
+        limit: usize,
+        scratch: &'s mut SearchScratch,
+        keep: impl FnMut(ScoredDoc) -> Option<ScoredDoc>,
+    ) -> &'s [ScoredDoc] {
+        let p = self.params;
+        let avg_len =
+            self.index.average_body_len() + p.title_boost * self.index.average_title_len();
+        scratch.accumulate(
+            self.index,
+            query,
+            &Bm25Model {
+                bm25: self,
+                avg_len,
+            },
+        );
+        scratch.top_k(limit, keep)
+    }
+}
+
+/// BM25 as a [`TermModel`]: the expressions of [`reference::score`],
+/// factored per term and per document.
+struct Bm25Model<'b, 'a> {
+    bm25: &'b Bm25Index<'a>,
+    /// Collection-average field-combined length, computed once per query.
+    avg_len: f64,
+}
+
+impl TermModel for Bm25Model<'_, '_> {
+    fn title_boost(&self) -> f64 {
+        self.bm25.params.title_boost
+    }
+
+    fn norm(&self, doc: DocId) -> f64 {
+        // Postings only reference indexed documents, so the stats exist.
+        let stats = self.bm25.index.doc_stats(doc).unwrap_or_default();
+        let p = self.bm25.params;
+        let doc_len = f64::from(stats.body_len) + p.title_boost * f64::from(stats.title_len);
+        if self.avg_len > 0.0 {
+            1.0 - p.b + p.b * doc_len / self.avg_len
+        } else {
+            1.0
+        }
+    }
+
+    fn weight(&self, tf: f64, norm: f64) -> f64 {
+        let k1 = self.bm25.params.k1;
+        tf * (k1 + 1.0) / (tf + k1 * norm)
+    }
+
+    fn idf(&self, df: usize) -> f64 {
+        self.bm25.idf_for(df)
+    }
+}
+
+pub mod reference {
+    //! The pre-rewrite BM25 ranking, kept verbatim as a differential
+    //! oracle.
+    //!
+    //! [`search`] scores every disjunctive candidate independently with
+    //! [`score`], which re-tokenises the query, scans a posting list per
+    //! (document, term), rebuilds the combined document-frequency set per
+    //! (document, term), and re-averages the collection's length statistics
+    //! per document — then sorts every candidate before truncating.  The
+    //! term-at-a-time [`Bm25Index::search`] must return bit-identical
+    //! scores in the same order; the differential suites assert it and the
+    //! bench reports the speedup against it.
+
+    use super::Bm25Index;
+    use crate::inverted::Field;
+    use crate::tfidf::{sort_ranking, ScoredDoc};
+    use crate::tokenize::tokenize;
+    use crate::DocId;
+
     /// BM25 score of `doc` for `query`.
-    pub fn score(&self, query: &str, doc: DocId) -> f64 {
-        let Some(stats) = self.index.doc_stats(doc) else {
+    pub fn score(bm25: &Bm25Index<'_>, query: &str, doc: DocId) -> f64 {
+        let Some(stats) = bm25.index.doc_stats(doc) else {
             return 0.0;
         };
-        let avg_len = self.index.average_body_len()
-            + self.params.title_boost * self.index.average_title_len();
+        let avg_len = bm25.index.average_body_len()
+            + bm25.params.title_boost * bm25.index.average_title_len();
         let doc_len =
-            f64::from(stats.body_len) + self.params.title_boost * f64::from(stats.title_len);
+            f64::from(stats.body_len) + bm25.params.title_boost * f64::from(stats.title_len);
         let mut total = 0.0;
         for token in tokenize(query) {
-            let tf_title = f64::from(self.index.term_frequency(Field::Title, &token.term, doc));
-            let tf_body = f64::from(self.index.term_frequency(Field::Body, &token.term, doc));
-            let tf = self.params.title_boost * tf_title + tf_body;
+            let tf_title = f64::from(bm25.index.term_frequency(Field::Title, &token.term, doc));
+            let tf_body = f64::from(bm25.index.term_frequency(Field::Body, &token.term, doc));
+            let tf = bm25.params.title_boost * tf_title + tf_body;
             if tf <= 0.0 {
                 continue;
             }
             let norm = if avg_len > 0.0 {
-                1.0 - self.params.b + self.params.b * doc_len / avg_len
+                1.0 - bm25.params.b + bm25.params.b * doc_len / avg_len
             } else {
                 1.0
             };
-            let saturated = tf * (self.params.k1 + 1.0) / (tf + self.params.k1 * norm);
-            total += self.idf(&token.term) * saturated;
+            let saturated = tf * (bm25.params.k1 + 1.0) / (tf + bm25.params.k1 * norm);
+            total += bm25.idf(&token.term) * saturated;
         }
         total
     }
 
     /// Ranks every document containing at least one query term, returning the
     /// top `limit` results.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
-        let candidates = self.index.disjunctive_candidates(query);
+    pub fn search(bm25: &Bm25Index<'_>, query: &str, limit: usize) -> Vec<ScoredDoc> {
+        let candidates = bm25.index.disjunctive_candidates(query);
         let mut scored: Vec<ScoredDoc> = candidates
             .into_iter()
             .map(|doc| ScoredDoc {
                 doc,
-                score: self.score(query, doc),
+                score: score(bm25, query, doc),
             })
             .filter(|s| s.score > 0.0)
             .collect();
@@ -145,8 +250,8 @@ mod tests {
     fn scores_are_monotone_in_matched_terms() {
         let idx = index();
         let bm25 = Bm25Index::new(&idx, Bm25Params::default());
-        let one_term = bm25.score("hate", 0);
-        let two_terms = bm25.score("hate speech", 0);
+        let one_term = reference::score(&bm25, "hate", 0);
+        let two_terms = reference::score(&bm25, "hate speech", 0);
         assert!(two_terms > one_term);
     }
 
@@ -154,7 +259,7 @@ mod tests {
     fn unknown_document_scores_zero() {
         let idx = index();
         let bm25 = Bm25Index::new(&idx, Bm25Params::default());
-        assert_eq!(bm25.score("hate", 999), 0.0);
+        assert_eq!(reference::score(&bm25, "hate", 999), 0.0);
     }
 
     #[test]

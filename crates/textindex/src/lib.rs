@@ -27,6 +27,7 @@ pub mod embed;
 pub mod inverted;
 pub mod keyphrase;
 pub mod similarity;
+pub mod taat;
 pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;
@@ -35,6 +36,7 @@ pub use bm25::{Bm25Index, Bm25Params};
 pub use embed::{EmbeddingModel, EmbeddingParams};
 pub use inverted::InvertedIndex;
 pub use keyphrase::{extract_keyphrases, KeyphraseConfig};
+pub use taat::SearchScratch;
 pub use tfidf::TfIdfIndex;
 pub use tokenize::{tokenize, Token};
 pub use vocab::Vocabulary;

@@ -1,11 +1,14 @@
 //! TF-IDF scoring over an [`InvertedIndex`].
 //!
 //! Used by the AMiner-like simulated engine and as the document-weighting
-//! basis for the embedding model in [`crate::embed`].
+//! basis for the embedding model in [`crate::embed`].  Ranking is
+//! term-at-a-time (see [`crate::taat`]); the pre-rewrite per-document
+//! scorer survives as [`reference`], the differential oracle.
 
-use crate::inverted::{Field, InvertedIndex};
-use crate::tokenize::tokenize;
+use crate::inverted::InvertedIndex;
+use crate::taat::{SearchScratch, TermModel};
 use crate::DocId;
+use std::cmp::Ordering;
 
 /// A scored document.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,15 +19,18 @@ pub struct ScoredDoc {
     pub score: f64,
 }
 
-/// Sorts scored documents by descending score, breaking ties by ascending doc
-/// id so rankings are deterministic.
+/// The ranking order: descending score, ties broken by ascending doc id so
+/// rankings are deterministic.
+pub fn ranking_order(a: &ScoredDoc, b: &ScoredDoc) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(Ordering::Equal)
+        .then(a.doc.cmp(&b.doc))
+}
+
+/// Sorts scored documents into [`ranking_order`].
 pub fn sort_ranking(scores: &mut [ScoredDoc]) {
-    scores.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.doc.cmp(&b.doc))
-    });
+    scores.sort_by(ranking_order);
 }
 
 /// TF-IDF ranking over an inverted index.
@@ -47,33 +53,102 @@ impl<'a> TfIdfIndex<'a> {
 
     /// Inverse document frequency of a term with add-one smoothing.
     pub fn idf(&self, term: &str) -> f64 {
+        self.idf_for(self.index.combined_document_frequency(term))
+    }
+
+    fn idf_for(&self, df: usize) -> f64 {
         let n = self.index.doc_count() as f64;
-        let df = self.index.combined_document_frequency(term) as f64;
+        let df = df as f64;
         ((n + 1.0) / (df + 1.0)).ln() + 1.0
     }
 
+    /// Ranks every document containing at least one query term, returning
+    /// the top `limit` results.  Uses a fresh [`SearchScratch`]; serving
+    /// paths keep one per worker and call [`TfIdfIndex::search_with`].
+    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
+        self.search_with(query, limit, &mut SearchScratch::new())
+            .to_vec()
+    }
+
+    /// [`TfIdfIndex::search`] with a caller-provided scratch.
+    pub fn search_with<'s>(
+        &self,
+        query: &str,
+        limit: usize,
+        scratch: &'s mut SearchScratch,
+    ) -> &'s [ScoredDoc] {
+        self.search_filtered(query, limit, scratch, Some)
+    }
+
+    /// [`TfIdfIndex::search_with`] where `keep` filters and re-scores each
+    /// positive-scoring document before the top-`limit` cut (`None` drops
+    /// it).
+    pub fn search_filtered<'s>(
+        &self,
+        query: &str,
+        limit: usize,
+        scratch: &'s mut SearchScratch,
+        keep: impl FnMut(ScoredDoc) -> Option<ScoredDoc>,
+    ) -> &'s [ScoredDoc] {
+        scratch.accumulate(self.index, query, self);
+        scratch.top_k(limit, keep)
+    }
+}
+
+/// Log-TF-IDF as a [`TermModel`]: the expressions of
+/// [`reference::score`], factored per term.  No length normalisation.
+impl TermModel for TfIdfIndex<'_> {
+    fn title_boost(&self) -> f64 {
+        self.title_boost
+    }
+
+    fn norm(&self, _doc: DocId) -> f64 {
+        1.0
+    }
+
+    fn weight(&self, tf: f64, _norm: f64) -> f64 {
+        1.0 + tf.ln()
+    }
+
+    fn idf(&self, df: usize) -> f64 {
+        self.idf_for(df)
+    }
+}
+
+pub mod reference {
+    //! The pre-rewrite TF-IDF ranking, kept verbatim as a differential
+    //! oracle: [`search`] scores every disjunctive candidate independently
+    //! with [`score`] (one posting scan and one document-frequency set per
+    //! document and term), then sorts every candidate before truncating.
+    //! The term-at-a-time [`TfIdfIndex::search`] must match it bit for bit.
+
+    use super::{sort_ranking, ScoredDoc, TfIdfIndex};
+    use crate::inverted::Field;
+    use crate::tokenize::tokenize;
+    use crate::DocId;
+
     /// TF-IDF score of a single document for `query`.
-    pub fn score(&self, query: &str, doc: DocId) -> f64 {
+    pub fn score(tfidf: &TfIdfIndex<'_>, query: &str, doc: DocId) -> f64 {
         let mut total = 0.0;
         for token in tokenize(query) {
-            let tf_title = f64::from(self.index.term_frequency(Field::Title, &token.term, doc));
-            let tf_body = f64::from(self.index.term_frequency(Field::Body, &token.term, doc));
-            let tf = self.title_boost * tf_title + tf_body;
+            let tf_title = f64::from(tfidf.index.term_frequency(Field::Title, &token.term, doc));
+            let tf_body = f64::from(tfidf.index.term_frequency(Field::Body, &token.term, doc));
+            let tf = tfidf.title_boost * tf_title + tf_body;
             if tf > 0.0 {
-                total += (1.0 + tf.ln()) * self.idf(&token.term);
+                total += (1.0 + tf.ln()) * tfidf.idf(&token.term);
             }
         }
         total
     }
 
     /// Ranks every document containing at least one query term.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
-        let candidates = self.index.disjunctive_candidates(query);
+    pub fn search(tfidf: &TfIdfIndex<'_>, query: &str, limit: usize) -> Vec<ScoredDoc> {
+        let candidates = tfidf.index.disjunctive_candidates(query);
         let mut scored: Vec<ScoredDoc> = candidates
             .into_iter()
             .map(|doc| ScoredDoc {
                 doc,
-                score: self.score(query, doc),
+                score: score(tfidf, query, doc),
             })
             .filter(|s| s.score > 0.0)
             .collect();
@@ -133,8 +208,10 @@ mod tests {
         let plain = TfIdfIndex::new(&idx, 1.0);
         let boosted = TfIdfIndex::new(&idx, 3.0);
         // Doc 2 has "speech" in its title, doc 1 only in its body.
-        let plain_gap = plain.score("speech", 2) - plain.score("speech", 1);
-        let boosted_gap = boosted.score("speech", 2) - boosted.score("speech", 1);
+        let gap = |t: &TfIdfIndex<'_>| {
+            reference::score(t, "speech", 2) - reference::score(t, "speech", 1)
+        };
+        let (plain_gap, boosted_gap) = (gap(&plain), gap(&boosted));
         assert!(boosted_gap > plain_gap);
     }
 

@@ -568,6 +568,9 @@ fn run_bench(options: &BenchOptions) -> Result<(), String> {
     if let Some(speedup) = report.kmb_speedup() {
         eprintln!("  kmb speedup vs reference: {speedup:.2}x");
     }
+    if let Some(speedup) = report.seed_speedup() {
+        eprintln!("  seed speedup vs reference: {speedup:.2}x");
+    }
 
     if let Some(baseline_path) = &options.check {
         let baseline_json = std::fs::read_to_string(baseline_path)

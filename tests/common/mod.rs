@@ -25,7 +25,7 @@ use rpg_repro::demo_corpus;
 use rpg_server::client::{self, ClientResponse};
 use rpg_server::{IoBackendChoice, Server, ServerConfig, StatsSnapshot};
 use rpg_service::{CorpusRegistry, Manifest};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -274,4 +274,29 @@ pub fn tenant_query(server: &Server, tenant: &str) -> (String, u16) {
         .next()
         .expect("fixture corpus has surveys");
     (survey.query.clone(), survey.year)
+}
+
+/// Blocks until bytes the server sent (an interim `100 Continue`, say) sit
+/// unread in `stream`'s receive buffer, without consuming them, so that
+/// closing the stream afterwards sends an RST rather than a FIN. The server
+/// queues the job before it writes the interim response, so a queued job
+/// alone does not prove the bytes arrived.
+pub fn wait_unread(stream: &TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let n = stream
+        .peek(&mut byte)
+        .expect("the server's interim response arrives");
+    assert!(n > 0, "connection closed before the interim response");
+}
+
+/// Waits until `done` holds, failing with `what` after ten seconds.
+pub fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
 }

@@ -11,8 +11,8 @@ mod common;
 
 use common::{
     demo_manifest_json, demo_registry_without_cache, get_with_key, post_json_with_key,
-    request_with_key, spawn_manifest_server, spawn_with, tenant_query, TestServer, ADMIN_KEY,
-    ALPHA_KEY, BETA_KEY,
+    request_with_key, spawn_manifest_server, spawn_with, tenant_query, wait_until, TestServer,
+    ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
 use rpg_server::client;
 use rpg_service::{CorpusRegistry, Manifest};
@@ -38,31 +38,26 @@ fn gen_body(query: &str, year: u16, corpus: Option<&str>) -> String {
     }
 }
 
-/// A deliberately expensive generate body (hundreds of seeds) used to hold
-/// a compute worker busy while the test stages queue state behind it.
-fn slow_body(query: &str, corpus: &str) -> String {
-    format!(r#"{{"query": {query:?}, "top_k": 40, "seed_count": 400, "corpus": {corpus:?}}}"#)
+/// The generate body that plugs the single compute worker while the test
+/// stages queue state behind it. What keeps the worker busy is the
+/// server's compute hold, armed before the plug is sent and released by
+/// the test, not the cost of the request.
+fn plug_body(query: &str, corpus: &str) -> String {
+    format!(r#"{{"query": {query:?}, "top_k": 40, "corpus": {corpus:?}}}"#)
 }
 
 /// Waits until the single compute worker provably holds the plug request:
 /// the tenant's lane exists (the plug was admitted), the queue is empty
-/// (the worker popped it), and nothing has completed yet.
+/// (the worker popped it), and nothing has completed yet. With the
+/// compute hold armed, the worker then stays busy until it is released.
 fn wait_worker_busy(server: &TestServer, tenant: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
+    wait_until("worker never picked up the plug request", || {
         let lane_exists = server
             .tenant_depths()
             .iter()
             .any(|(name, _)| name == tenant);
-        if lane_exists && server.request_depth() == 0 && server.stats().handled == 0 {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker never picked up the plug request"
-        );
-        std::thread::yield_now();
-    }
+        lane_exists && server.request_depth() == 0 && server.stats().handled == 0
+    });
 }
 
 #[test]
@@ -487,11 +482,12 @@ fn live_weight_retune_shifts_the_drr_share_under_load() {
 
     // Plug the worker so the eight requests park in the queue while the
     // retune happens.
+    server.compute_hold().hold();
     let plug = {
         let (query, _) = alpha_queries[0].clone();
         std::thread::spawn(move || {
             let response =
-                post_json_with_key(addr, "/v1/generate", &slow_body(&query, "alpha"), ALPHA_KEY);
+                post_json_with_key(addr, "/v1/generate", &plug_body(&query, "alpha"), ALPHA_KEY);
             assert_eq!(response.unwrap().status, 200);
         })
     };
@@ -510,6 +506,7 @@ fn live_weight_retune_shifts_the_drr_share_under_load() {
 
     // Park 4 + 4 requests (interleaved submission), each recording when its
     // response arrived.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
     let mut handles = Vec::new();
     for i in 0..4 {
         for (tenant, key, queries) in [
@@ -520,16 +517,32 @@ fn live_weight_retune_shifts_the_drr_share_under_load() {
             let body = gen_body(&query, year, Some(tenant));
             let key = key.to_string();
             let tenant = tenant.to_string();
+            let done = done_tx.clone();
             handles.push(std::thread::spawn(move || {
                 let response = post_json_with_key(addr, "/v1/generate", &body, &key).unwrap();
                 assert_eq!(response.status, 200, "{tenant}: {}", response.body);
-                (tenant, Instant::now())
+                done.send((tenant, Instant::now())).unwrap();
             }));
         }
     }
-    let completions: Vec<(String, Instant)> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    wait_until("the eight requests never all queued", || {
+        server.request_depth() == 8
+    });
+    // Let the replies through one at a time, each only once the previous
+    // one's arrival is recorded, so the recorded order is the order the
+    // fair queue served, not the order client threads happened to wake.
+    server.compute_hold().pass_one();
     plug.join().unwrap();
+    let completions: Vec<(String, Instant)> = (0..8)
+        .map(|_| {
+            server.compute_hold().pass_one();
+            done_rx.recv().unwrap()
+        })
+        .collect();
+    server.compute_hold().release();
+    for handle in handles {
+        handle.join().unwrap();
+    }
 
     let last = |tenant: &str| {
         completions
@@ -616,8 +629,9 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
     let addr = server.addr();
     let queries = common::demo_queries(2);
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -626,7 +640,13 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
     let (query, year) = queries[1].clone();
     let item = gen_body(&query, year, None);
     let burst = format!(r#"{{"requests": [{item}, {item}, {item}, {item}]}}"#);
-    let response = client::post_json(addr, "/v1/batch", &burst).unwrap();
+    let batch = std::thread::spawn(move || client::post_json(addr, "/v1/batch", &burst));
+    // Every item is either queued or throttled before the worker moves on.
+    wait_until("the batch was never fully admitted", || {
+        server.request_depth() + server.stats().throttled as usize >= 4
+    });
+    server.compute_hold().release();
+    let response = batch.join().unwrap().unwrap();
     assert_eq!(
         response.status, 200,
         "partial throttling keeps the batch a 200"
@@ -675,8 +695,9 @@ fn mid_compute_hangup_cancels_queued_work() {
 
     // Plug the single worker.
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -692,17 +713,18 @@ fn mid_compute_hangup_cancels_queued_work() {
     );
     stream.write_all(head.as_bytes()).unwrap();
     stream.flush().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.request_depth() == 0 {
-        assert!(Instant::now() < deadline, "request never queued");
-        std::thread::yield_now();
-    }
+    wait_until("request never queued", || server.request_depth() > 0);
     // Close without reading: the unread `100 Continue` turns the close
     // into an RST, which is what POLLHUP/POLLERR watching detects.
+    common::wait_unread(&stream);
     drop(stream);
+    wait_until("the reset was never observed", || {
+        server.compute_hold().resets() >= 1
+    });
 
     // The plug finishes; the abandoned job is skipped (not computed) and
     // its connection slot drains away.
+    server.compute_hold().release();
     plug.join().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.open_connections() > 0 {
@@ -740,8 +762,9 @@ fn mid_compute_half_close_still_gets_its_reply() {
     // Plug the single worker so the half-closing request is provably in
     // `ComputeInFlight` when its FIN arrives.
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -761,16 +784,13 @@ fn mid_compute_half_close_still_gets_its_reply() {
             .as_bytes(),
         )
         .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.request_depth() == 0 {
-        assert!(Instant::now() < deadline, "request never queued");
-        std::thread::yield_now();
-    }
+    wait_until("request never queued", || server.request_depth() > 0);
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     // Give the event loop time to see the FIN while the worker is still
     // plugged — the regression this guards against flipped the cancel flag
     // right here and the reply never came.
     std::thread::sleep(Duration::from_millis(50));
+    server.compute_hold().release();
     let response = client::read_response(&mut stream, &mut Vec::new()).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     plug.join().unwrap();
@@ -794,25 +814,34 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
     let addr = server.addr();
     let queries = common::demo_queries(2);
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
 
-    // A 1 ms budget behind a plug that takes far longer: by the time the
+    // A 1 ms budget behind a plug that is held for longer: by the time the
     // worker reaches this request its deadline is blown, so the worker
     // sheds it — 503 plus retry-after — instead of computing a result the
     // client has already given up on.
     let (query, year) = queries[1].clone();
-    let response = client::request_with(
-        addr,
-        "POST",
-        "/v1/generate",
-        Some(&gen_body(&query, year, None)),
-        &[("x-rpg-deadline-ms", "1")],
-    )
-    .unwrap();
+    let request = std::thread::spawn(move || {
+        client::request_with(
+            addr,
+            "POST",
+            "/v1/generate",
+            Some(&gen_body(&query, year, None)),
+            &[("x-rpg-deadline-ms", "1")],
+        )
+    });
+    wait_until("the deadline request never queued", || {
+        server.request_depth() == 1
+    });
+    // Its deadline was set at admission, before it showed in the queue.
+    std::thread::sleep(Duration::from_millis(2));
+    server.compute_hold().release();
+    let response = request.join().unwrap().unwrap();
     assert_eq!(response.status, 503, "{}", response.body);
     assert!(
         response.header("retry-after").is_some(),

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{demo_registry_without_cache, spawn_with};
+use common::{demo_registry_without_cache, spawn_with, wait_until};
 use rpg_repro::demo_corpus;
 use rpg_server::client;
 use rpg_service::CorpusRegistry;
@@ -86,25 +86,24 @@ impl Lcg {
     }
 }
 
+/// The generate body that plugs the single compute worker. The server's
+/// compute hold, armed before it is sent and released by the test, is what
+/// keeps the worker busy — not the cost of the request.
+fn plug_body(query: &str) -> String {
+    format!(r#"{{"query": {query:?}, "top_k": 40, "corpus": "default"}}"#)
+}
+
 /// Waits until the single compute worker provably holds a just-sent plug
 /// request: its lane exists (admitted), the queue is empty (popped), and
 /// nothing has completed yet.
 fn wait_worker_busy(server: &common::TestServer, tenant: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
+    wait_until("worker never picked up the plug request", || {
         let lane_exists = server
             .tenant_depths()
             .iter()
             .any(|(name, _)| name == tenant);
-        if lane_exists && server.request_depth() == 0 && server.stats().handled == 0 {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker never picked up the plug request"
-        );
-        std::thread::yield_now();
-    }
+        lane_exists && server.request_depth() == 0 && server.stats().handled == 0
+    });
 }
 
 /// The open-loop quiet tenant: `count` requests launched on a fixed
@@ -151,6 +150,12 @@ fn heavy_tailed_stampede_cannot_move_the_quiet_tenants_tail() {
     let addr = server.addr();
     let queries = common::demo_queries(4);
 
+    // Hold compute through the stampede's opening burst: the first noisy
+    // request takes the tenant's one in-flight slot, the next two fill its
+    // queue, and the fourth must overflow — however fast a pipeline run
+    // is on this machine.
+    server.compute_hold().hold();
+
     // The stampede: bursty threads with heavy-tailed gaps (mostly
     // back-to-back, occasionally pausing — the pattern that defeats naive
     // rate limiting).
@@ -177,6 +182,10 @@ fn heavy_tailed_stampede_cannot_move_the_quiet_tenants_tail() {
             })
         })
         .collect();
+    wait_until("the opening burst never overflowed", || {
+        server.stats().throttled > 0
+    });
+    server.compute_hold().release();
 
     // The quiet tenant's open-loop schedule runs against the stampede.
     let quiet = open_loop_quiet(
@@ -327,13 +336,12 @@ fn abandonment_storm_is_cancelled_not_computed() {
     let addr = server.addr();
     let queries = common::demo_queries(3);
 
-    // Plug the single worker with one slow request so the storm's jobs are
-    // all still queued when their connections die.
+    // Plug the single worker (held by the compute hold until released)
+    // so the storm's jobs are all still queued when their connections die.
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let body = format!(
-            r#"{{"query": {plug_query:?}, "top_k": 40, "seed_count": 400, "corpus": "default"}}"#
-        );
+        let body = plug_body(&plug_query);
         assert_eq!(
             client::post_json(addr, "/v1/generate", &body)
                 .unwrap()
@@ -373,8 +381,15 @@ fn abandonment_storm_is_cancelled_not_computed() {
         );
         std::thread::yield_now();
     }
+    for stream in &streams {
+        common::wait_unread(stream);
+    }
     drop(streams);
+    wait_until("storm resets never all observed", || {
+        server.compute_hold().resets() >= storm
+    });
 
+    server.compute_hold().release();
     plug.join().unwrap();
     // The storm drains without computing: pipeline ran only for the plug.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -407,9 +422,10 @@ fn deadline_shedding_keeps_a_backlog_from_going_stale() {
     // grows with its position, so the tail of the backlog is provably stale
     // by the time the worker reaches it and must be shed with 503s instead
     // of burning compute on replies nobody is waiting for — and the shed
-    // count matches what the clients saw. (One uncached demo generate costs
-    // ~2 ms release / ~10 ms debug, so a 96-deep backlog represents at
-    // least ~150 ms of queue delay against a 50 ms budget on any machine.)
+    // count matches what the clients saw. (The whole backlog queues behind
+    // the held plug before the worker starts on it, and one uncached demo
+    // generate costs ~1 ms release / ~5 ms debug, so a 96-deep backlog
+    // represents at least ~95 ms of queue delay against a 50 ms budget.)
     let scale = scale();
     let backlog = 96 * scale;
     let server = spawn_with(demo_registry_without_cache(), |config| {
@@ -422,10 +438,9 @@ fn deadline_shedding_keeps_a_backlog_from_going_stale() {
     let queries = common::demo_queries(3);
 
     let (plug_query, _) = queries[0].clone();
+    server.compute_hold().hold();
     let plug = std::thread::spawn(move || {
-        let body = format!(
-            r#"{{"query": {plug_query:?}, "top_k": 40, "seed_count": 400, "corpus": "default"}}"#
-        );
+        let body = plug_body(&plug_query);
         // The plug outlives its own 50 ms budget only because it is
         // popped immediately — deadlines gate the *queue*, not compute.
         assert_eq!(
@@ -448,6 +463,8 @@ fn deadline_shedding_keeps_a_backlog_from_going_stale() {
             })
         })
         .collect();
+    wait_until("backlog never queued", || server.request_depth() >= backlog);
+    server.compute_hold().release();
     let statuses: Vec<u16> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     plug.join().unwrap();
 

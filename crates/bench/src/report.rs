@@ -43,6 +43,15 @@
 //! ([`rpg_textindex::bm25::reference`]).  The report carries the ratio as
 //! `seed_speedup_vs_reference`, and `--check` fails when the rewrite is not
 //! faster — host-independent, like the KMB pair.
+//!
+//! The JSON encoder pins its fast paths with the `json_encode` /
+//! `json_encode_reference` pair: the generate bodies of the same 48
+//! queries, encoded by `serde_json::to_string` and by the verbatim
+//! pre-rewrite `serde_json::reference` encoder. The report carries the
+//! ratio as `json_encode_speedup_vs_reference` (gated like the seed pair),
+//! plus, ungated, `serve_hit_vs_healthz`: the loopback cache-hit exchange
+//! over the idle-connection healthz exchange on the same backend, the
+//! "HTTP hit within 2x of healthz" target of the serialize-once cache.
 
 use crate::micro_corpus;
 use rpg_corpus::{generate, Corpus, CorpusConfig};
@@ -57,6 +66,7 @@ use rpg_repager::subgraph::SubGraph;
 use rpg_repager::system::PathRequest;
 use rpg_repager::weights::NodeWeights;
 use rpg_repager::RepagerConfig;
+use rpg_server::api::generate_response_value;
 use rpg_server::{client, IoBackendChoice, Server, ServerConfig};
 use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, PathService};
 use rpg_textindex::bm25::{self, Bm25Index, Bm25Params};
@@ -163,6 +173,25 @@ impl BenchReport {
         (load > 0.0).then(|| build / load)
     }
 
+    /// The pre-rewrite-over-current speedup of JSON encoding
+    /// (`reference_median / encode_median`), when both benches ran.
+    pub fn json_encode_speedup(&self) -> Option<f64> {
+        let new = self.result("json_encode")?.median_ns as f64;
+        let old = self.result("json_encode_reference")?.median_ns as f64;
+        (new > 0.0).then(|| old / new)
+    }
+
+    /// A loopback cache hit over a loopback healthz exchange on the
+    /// backend the cache-hit server runs (`IoBackendChoice::Auto`), when
+    /// both benches ran.
+    pub fn serve_hit_vs_healthz(&self) -> Option<f64> {
+        let hit = self.result("serve_cache_hit_untraced")?.median_ns as f64;
+        let healthz = self
+            .result(&healthz_bench_name(IoBackendChoice::Auto))?
+            .median_ns as f64;
+        (healthz > 0.0).then(|| hit / healthz)
+    }
+
     /// Renders the report as the `rpg-bench-report/v1` JSON value.
     pub fn to_value(&self) -> Value {
         let (nodes, edges, terminals) = self.instance;
@@ -220,6 +249,15 @@ impl BenchReport {
         }
         if let Some(speedup) = self.snapshot_load_speedup() {
             fields.push(("snapshot_load_vs_build".to_string(), Value::Number(speedup)));
+        }
+        if let Some(speedup) = self.json_encode_speedup() {
+            fields.push((
+                "json_encode_speedup_vs_reference".to_string(),
+                Value::Number(speedup),
+            ));
+        }
+        if let Some(ratio) = self.serve_hit_vs_healthz() {
+            fields.push(("serve_hit_vs_healthz".to_string(), Value::Number(ratio)));
         }
         Value::Object(fields)
     }
@@ -459,7 +497,12 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         },
     ));
 
-    run_seed_benches(iters, &mut results);
+    let serve_corpus = generate(&CorpusConfig {
+        seed: 0xDE40,
+        ..CorpusConfig::small()
+    });
+    run_seed_benches(&serve_corpus, iters, &mut results);
+    run_encode_benches(serve_corpus, iters, &mut results);
     run_idle_exchange_benches(iters, &mut results);
     run_traced_exchange_benches(&corpus, iters, &mut results);
 
@@ -478,12 +521,8 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
 /// `0xDE40`) with the Scholar engine's BM25 parameters, cut to the default
 /// seed count — through a warm [`SearchScratch`], then through the verbatim
 /// pre-rewrite scorer on the same index.
-fn run_seed_benches(iters: Iterations, results: &mut Vec<BenchResult>) {
-    let corpus = generate(&CorpusConfig {
-        seed: 0xDE40,
-        ..CorpusConfig::small()
-    });
-    let index = EngineIndex::build(&corpus);
+fn run_seed_benches(corpus: &Corpus, iters: Iterations, results: &mut Vec<BenchResult>) {
+    let index = EngineIndex::build(corpus);
     let bm25 = Bm25Index::new(
         index.inverted(),
         Bm25Params {
@@ -522,11 +561,68 @@ fn run_seed_benches(iters: Iterations, results: &mut Vec<BenchResult>) {
     ));
 }
 
+/// The `json_encode` / `json_encode_reference` pair: one iteration encodes
+/// the `POST /v1/generate` bodies of all 48 survey queries of the
+/// `rpg serve` corpus (top 30, each survey's year as `max_year`) — with
+/// `serde_json::to_string`, then with the verbatim pre-rewrite
+/// `serde_json::reference::to_string`, which also pays the deep copy the
+/// old encoder made of every tree it was handed.
+fn run_encode_benches(corpus: Corpus, iters: Iterations, results: &mut Vec<BenchResult>) {
+    let service = PathService::build(corpus).expect("serve corpus builds");
+    let bodies: Vec<Value> = service
+        .corpus()
+        .survey_bank()
+        .iter()
+        .map(|survey| {
+            let request = PathRequest {
+                max_year: Some(survey.year),
+                ..PathRequest::new(&survey.query, 30)
+            };
+            let output = service.generate(&request).expect("survey query serves");
+            generate_response_value("default", &output, false)
+        })
+        .collect();
+    results.push(run_bench(
+        "json_encode",
+        iters.service,
+        iters.warmup,
+        || {
+            bodies
+                .iter()
+                .map(|body| serde_json::to_string(body).expect("body encodes").len())
+                .sum::<usize>()
+        },
+    ));
+    results.push(run_bench(
+        "json_encode_reference",
+        iters.service,
+        iters.warmup,
+        || {
+            bodies
+                .iter()
+                .map(|body| {
+                    serde_json::reference::to_string(body)
+                        .expect("body encodes")
+                        .len()
+                })
+                .sum::<usize>()
+        },
+    ));
+}
+
 /// Idle keep-alive connections held open while the per-backend exchange
 /// benches run — enough registered descriptors that a readiness backend
 /// paying O(registered) per wait (`poll`) shows it in the median, while an
 /// O(ready) backend (`epoll`) stays flat.
 const IDLE_CONNS: usize = 256;
+
+/// The name of the idle-connection healthz bench of one backend.
+fn healthz_bench_name(backend: IoBackendChoice) -> String {
+    format!(
+        "serve_healthz_idle{IDLE_CONNS}_{}",
+        backend.resolve().as_str()
+    )
+}
 
 /// The readiness backends this host offers, in report order.
 pub fn available_backends() -> Vec<IoBackendChoice> {
@@ -588,10 +684,7 @@ fn run_idle_exchange_benches(iters: Iterations, results: &mut Vec<BenchResult>) 
 
         let mut probe = client::Conn::connect(server.addr()).expect("probe connection opens");
         results.push(run_bench(
-            &format!(
-                "serve_healthz_idle{IDLE_CONNS}_{}",
-                backend.resolve().as_str()
-            ),
+            &healthz_bench_name(backend),
             iters.service,
             iters.warmup,
             || {
@@ -710,8 +803,9 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, u64)>, String> {
 /// 1. **same-host invariant** — the rewritten KMB kernel must not be slower
 ///    than the pre-rewrite reference measured in the same process.  This is
 ///    completely host-independent and is the teeth of the ≥ speedup claim.
-/// 2. **seed invariant** — likewise, the term-at-a-time seed ranking must
-///    be faster than the in-process reference scorer.
+/// 2. **seed and encoder invariants** — likewise, the term-at-a-time seed
+///    ranking and the JSON encoder must each be faster than their
+///    in-process reference.
 /// 3. **trajectory gate** — the KMB median must not exceed
 ///    `max_regression ×` the committed baseline's median.  Absolute
 ///    nanoseconds differ between hosts, which is exactly why the threshold
@@ -736,6 +830,15 @@ pub fn check_regression(
         if speedup <= 1.0 {
             failures.push(format!(
                 "seed_bm25_taat is not faster than the in-process reference \
+                 (speedup {speedup:.2}x <= 1.0x)"
+            ));
+        }
+    }
+
+    if let Some(speedup) = report.json_encode_speedup() {
+        if speedup <= 1.0 {
+            failures.push(format!(
+                "json_encode is not faster than the in-process reference \
                  (speedup {speedup:.2}x <= 1.0x)"
             ));
         }
@@ -878,6 +981,39 @@ mod tests {
     }
 
     #[test]
+    fn check_fails_when_the_encoder_is_not_faster_than_reference() {
+        let mut report = fake_report();
+        let bench = |name: &str, median_ns| BenchResult {
+            name: name.to_string(),
+            iters: 10,
+            median_ns,
+            min_ns: median_ns,
+            mean_ns: median_ns,
+            throughput_per_sec: 1e9 / median_ns as f64,
+        };
+        report.results.push(bench("json_encode", 1_000));
+        report.results.push(bench("json_encode_reference", 3_000));
+        report
+            .results
+            .push(bench("serve_cache_hit_untraced", 30_000));
+        report
+            .results
+            .push(bench(&healthz_bench_name(IoBackendChoice::Auto), 20_000));
+        let baseline = vec![("steiner_tree_kmb".to_string(), 100_000u64)];
+        check_regression(&report, &baseline, 2.0).unwrap();
+        let value = report.to_value();
+        let field = |name: &str| value.get(name).and_then(Value::as_f64).unwrap();
+        assert!((field("json_encode_speedup_vs_reference") - 3.0).abs() < 1e-9);
+        assert!((field("serve_hit_vs_healthz") - 1.5).abs() < 1e-9);
+        // Equal medians are not a win; the hit/healthz ratio is not gated.
+        report.results[2].median_ns = 3_000;
+        report.results[4].median_ns = 200_000;
+        let err = check_regression(&report, &baseline, 2.0).unwrap_err();
+        assert!(err.contains("json_encode is not faster"), "{err}");
+        assert!(!err.contains("serve_"), "{err}");
+    }
+
+    #[test]
     fn missing_baseline_bench_is_an_error() {
         let report = fake_report();
         let err = check_regression(&report, &[], 2.0).unwrap_err();
@@ -924,18 +1060,19 @@ mod tests {
             "snapshot_artifacts_load".to_string(),
             "seed_bm25_taat".to_string(),
             "seed_bm25_reference".to_string(),
+            "json_encode".to_string(),
+            "json_encode_reference".to_string(),
         ];
         for backend in available_backends() {
-            expected.push(format!(
-                "serve_healthz_idle{IDLE_CONNS}_{}",
-                backend.resolve().as_str()
-            ));
+            expected.push(healthz_bench_name(backend));
         }
         for name in &expected {
             assert!(report.result(name).is_some(), "bench {name} missing");
         }
         assert!(report.kmb_speedup().is_some());
         assert!(report.seed_speedup().is_some());
+        assert!(report.json_encode_speedup().is_some());
+        assert!(report.serve_hit_vs_healthz().is_some());
         assert!(
             report.snapshot_load_speedup().is_some(),
             "the snapshot cold-start pair must both run"

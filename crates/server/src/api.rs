@@ -9,6 +9,12 @@
 //! Determinism matters here: everything emitted is either an ordered
 //! `Vec`-backed structure or explicitly sorted (the co-occurrence map is a
 //! `HashMap` upstream and is emitted sorted by paper id).
+//!
+//! The server does not re-encode a cached result on every hit: it encodes
+//! the cache-independent [`encode_result_tail`] once per cache entry and
+//! splices it behind a per-request head ([`splice_generate_body`]). The
+//! tests pin the spliced bytes to [`generate_response_value`] serialized,
+//! which stays the reference encoding.
 
 use rpg_corpus::PaperId;
 use rpg_repager::stages::StageTimings;
@@ -129,6 +135,11 @@ pub fn item_error_value(status: u16, message: &str) -> Value {
         ("error".to_string(), Value::String(message.to_string())),
         ("status".to_string(), Value::Number(f64::from(status))),
     ])
+}
+
+/// [`item_error_value`], encoded.
+pub fn item_error_body(status: u16, message: &str) -> String {
+    serde_json::to_string(&item_error_value(status, message)).expect("item error serialises")
 }
 
 /// Renders `{"error": message}` (shared by every error response).
@@ -292,6 +303,46 @@ pub fn generate_response_value(corpus: &str, output: &RepagerOutput, cached: boo
         ("result".to_string(), output_result_value(output)),
         ("timings".to_string(), timings_value(&output.timings)),
     ])
+}
+
+/// The part of an encoded [`generate_response_value`] that depends only on
+/// the output: `"result":…,"timings":…}`. A cache hit's `timings` describe
+/// the run that populated the entry, so one encoding serves every hit.
+pub fn encode_result_tail(output: &RepagerOutput) -> Box<str> {
+    let result = serde_json::to_string(&output_result_value(output)).expect("result serialises");
+    let timings =
+        serde_json::to_string(&timings_value(&output.timings)).expect("timings serialise");
+    format!("\"result\":{result},\"timings\":{timings}}}").into_boxed_str()
+}
+
+/// A `POST /v1/generate` body from its encoded tail: byte-identical to
+/// `serde_json::to_string(&generate_response_value(corpus, output, cached))`
+/// when `tail` is `encode_result_tail(output)`.
+pub fn splice_generate_body(corpus: &str, cached: bool, tail: &str) -> String {
+    let corpus = serde_json::to_string(&corpus).expect("corpus name serialises");
+    let mut body = String::with_capacity(corpus.len() + tail.len() + 28);
+    body.push_str("{\"corpus\":");
+    body.push_str(&corpus);
+    body.push_str(if cached {
+        ",\"cached\":true,"
+    } else {
+        ",\"cached\":false,"
+    });
+    body.push_str(tail);
+    body
+}
+
+/// The `POST /v1/batch` body from its encoded items, in order.
+pub fn batch_body<'a>(items: impl IntoIterator<Item = &'a str>) -> String {
+    let mut body = String::from("{\"results\":[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(item);
+    }
+    body.push_str("]}");
+    body
 }
 
 #[cfg(test)]

@@ -43,8 +43,9 @@
 //! *global* request queue turns into a `503` for everyone.
 
 use crate::api::{
-    error_body, generate_response_value, item_error_value, timings_value, ApiError, BatchRequest,
-    GenerateRequest, ResolvedRequest, TenantPatch, MAX_BATCH,
+    batch_body, encode_result_tail, error_body, item_error_body, splice_generate_body,
+    timings_value, ApiError, BatchRequest, GenerateRequest, ResolvedRequest, TenantPatch,
+    MAX_BATCH,
 };
 use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
 use crate::histogram::TenantMetrics;
@@ -489,9 +490,10 @@ struct Job {
 /// The shared result collector of one `/v1/batch` request: per-item admission
 /// means the items complete independently (across compute workers, or
 /// instantly at admission for rejected items), and whichever fill lands last
-/// assembles the ordered `results` array and posts the batch's single reply.
+/// joins the ordered, already-encoded items into the `results` array and
+/// posts the batch's single reply.
 struct BatchAssembly {
-    slots: Mutex<Vec<Option<Value>>>,
+    slots: Mutex<Vec<Option<String>>>,
     remaining: AtomicUsize,
     reply: Mutex<Option<Reply>>,
 }
@@ -515,22 +517,22 @@ impl BatchAssembly {
         }
     }
 
-    fn fill(&self, index: usize, value: Value) {
+    fn fill(&self, index: usize, item: String) {
         {
             let mut slots = self.slots.lock().unwrap();
             debug_assert!(slots[index].is_none(), "batch slot filled twice");
-            slots[index] = Some(value);
+            slots[index] = Some(item);
         }
         if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let results: Vec<Value> = std::mem::take(&mut *self.slots.lock().unwrap())
+            let items: Vec<String> = std::mem::take(&mut *self.slots.lock().unwrap())
                 .into_iter()
-                .map(|slot| slot.unwrap_or_else(|| item_error_value(500, "request was dropped")))
+                .map(|slot| slot.unwrap_or_else(|| item_error_body(500, "request was dropped")))
                 .collect();
             if let Some(reply) = self.reply.lock().unwrap().take() {
-                reply.send(json_200(&Value::Object(vec![(
-                    "results".to_string(),
-                    Value::Array(results),
-                )])));
+                reply.send(Response::json(
+                    200,
+                    batch_body(items.iter().map(String::as_str)),
+                ));
             }
         }
     }
@@ -544,9 +546,9 @@ struct BatchTicket {
 }
 
 impl BatchTicket {
-    fn fill(mut self, value: Value) {
+    fn fill(mut self, item: String) {
         self.filled = true;
-        self.assembly.fill(self.index, value);
+        self.assembly.fill(self.index, item);
     }
 }
 
@@ -554,7 +556,7 @@ impl Drop for BatchTicket {
     fn drop(&mut self) {
         if !self.filled {
             self.assembly
-                .fill(self.index, item_error_value(500, "request was dropped"));
+                .fill(self.index, item_error_body(500, "request was dropped"));
         }
     }
 }
@@ -2146,10 +2148,7 @@ fn admit_batch(
         ));
     }
     if batch.requests.is_empty() {
-        return Routed::Inline(json_200(&Value::Object(vec![(
-            "results".to_string(),
-            Value::Array(Vec::new()),
-        )])));
+        return Routed::Inline(Response::json(200, batch_body([])));
     }
     // An anonymous caller is a request-level 401, not 256 item errors.
     if matches!(principal, Some(Principal::Anonymous)) {
@@ -2168,19 +2167,19 @@ fn admit_batch(
         let mut resolved = match ResolvedRequest::resolve(dto) {
             Ok(resolved) => resolved,
             Err(e) => {
-                ticket.fill(item_error_value(e.status, &e.message));
+                ticket.fill(item_error_body(e.status, &e.message));
                 continue;
             }
         };
         let tenant = match billing_tenant(dto.corpus.as_deref(), principal, shared) {
             Billing::Tenant(tenant) => tenant,
             Billing::Reject(status, message) => {
-                ticket.fill(item_error_value(status, &message));
+                ticket.fill(item_error_body(status, &message));
                 continue;
             }
         };
         if !shared.registry.contains(&tenant) {
-            ticket.fill(item_error_value(404, &format!("unknown corpus {tenant:?}")));
+            ticket.fill(item_error_body(404, &format!("unknown corpus {tenant:?}")));
             continue;
         }
         if dto.variant.is_none() {
@@ -2220,7 +2219,7 @@ fn admit_batch(
                 };
                 let job = rejection.into_inner();
                 if let Work::BatchItem { ticket, .. } = job.work {
-                    ticket.fill(item_error_value(status, &message));
+                    ticket.fill(item_error_body(status, &message));
                 }
             }
         }
@@ -2723,11 +2722,11 @@ fn run_job(job: Job, shared: &Shared) {
             if abandoned {
                 // Nobody can read the result; skip the pipeline run.
                 metrics.cancelled.inc();
-                ticket.fill(item_error_value(500, "client disconnected"));
+                ticket.fill(item_error_body(500, "client disconnected"));
                 return;
             }
             if expired {
-                ticket.fill(item_error_value(
+                ticket.fill(item_error_body(
                     503,
                     "deadline exceeded before compute, retry shortly",
                 ));
@@ -2738,8 +2737,8 @@ fn run_job(job: Job, shared: &Shared) {
             // worker lives on.
             let compute = open_span(&trace, "compute");
             let stage = stage_trace(&trace, &compute);
-            let value = catch_unwind(AssertUnwindSafe(|| {
-                run_resolved(&corpus, &resolved, shared, deadline, &metrics, stage)
+            let body = catch_unwind(AssertUnwindSafe(|| {
+                serve_resolved(&corpus, &resolved, shared, deadline, &metrics, stage)
             }))
             .unwrap_or_else(|_| {
                 Err(ApiError {
@@ -2752,9 +2751,9 @@ fn run_job(job: Job, shared: &Shared) {
             // observes the response is guaranteed to observe the sample too
             // (/v1/stats and /metrics stay consistent with what was served).
             metrics.latency.record(admitted_at.elapsed());
-            ticket.fill(match value {
-                Ok(value) => value,
-                Err(e) => item_error_value(e.status, &e.message),
+            ticket.fill(match body {
+                Ok(body) => body,
+                Err(e) => item_error_body(e.status, &e.message),
             });
         }
         work => {
@@ -2805,8 +2804,8 @@ fn execute(
 ) -> Response {
     match work {
         Work::Generate(corpus, resolved) => {
-            match run_resolved(corpus, resolved, shared, deadline, metrics, stage) {
-                Ok(value) => json_200(&value),
+            match serve_resolved(corpus, resolved, shared, deadline, metrics, stage) {
+                Ok(body) => Response::json(200, body),
                 Err(e) => Response::json(e.status, e.body()),
             }
         }
@@ -2974,15 +2973,18 @@ fn registry_error(e: RegistryError) -> ApiError {
 }
 
 /// Runs an already-validated request against its corpus, shedding its
-/// remaining pipeline stages if `deadline` passes mid-compute.
-fn run_resolved(
+/// remaining pipeline stages if `deadline` passes mid-compute, and returns
+/// the encoded generate body. The result's tail is encoded once per cache
+/// entry: a miss fills the slot it just inserted, and every later hit
+/// splices the stored bytes behind its own head.
+fn serve_resolved(
     corpus: &str,
     resolved: &ResolvedRequest,
     shared: &Shared,
     deadline: Option<Instant>,
     metrics: &TenantMetrics,
     stage: Option<StageTrace>,
-) -> Result<Value, ApiError> {
+) -> Result<String, ApiError> {
     let served = shared
         .registry
         .generate_observed(corpus, &resolved.as_path_request(), deadline, stage)
@@ -3004,11 +3006,10 @@ fn run_resolved(
             .unwrap()
             .record(&served.output.timings);
     }
-    Ok(generate_response_value(
-        corpus,
-        &served.output,
-        served.cached,
-    ))
+    let tail = served
+        .encoded
+        .get_or_init(|| encode_result_tail(&served.output));
+    Ok(splice_generate_body(corpus, served.cached, tail))
 }
 
 /// `GET /v1/corpora`: the control-plane listing — epoch, corpus spec (when

@@ -43,19 +43,21 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Inserts a value, evicting the least-recently-used entry when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// Returns the evicted key, if an insert of a new key evicted one.
+    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
         self.tick += 1;
+        let mut evicted = None;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(evictee) = self
+            evicted = self
                 .map
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&evictee);
+                .map(|(k, _)| k.clone());
+            if let Some(evictee) = &evicted {
+                self.map.remove(evictee);
             }
         }
         self.map.insert(
@@ -65,6 +67,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 last_used: self.tick,
             },
         );
+        evicted
+    }
+
+    /// Whether `key` is cached (does not touch its recency).
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.map.contains_key(key)
     }
 
     /// Number of cached entries.
@@ -186,11 +194,11 @@ mod tests {
         // Recency now (oldest first): 1, 2, 3. Touch 1 and 2; 3 becomes LRU.
         assert_eq!(cache.get(&1), Some(10));
         assert_eq!(cache.get(&2), Some(20));
-        cache.insert(4, 40); // evicts 3
+        assert_eq!(cache.insert(4, 40), Some(3));
         assert!(cache.get(&3).is_none());
         // Recency: 1, 2, 4. Re-inserting 1 refreshes it; 2 becomes LRU.
-        cache.insert(1, 11);
-        cache.insert(5, 50); // evicts 2
+        assert_eq!(cache.insert(1, 11), None, "an update evicts nothing");
+        assert_eq!(cache.insert(5, 50), Some(2));
         assert!(cache.get(&2).is_none());
         assert_eq!(cache.get(&1), Some(11));
         assert_eq!(cache.get(&4), Some(40));

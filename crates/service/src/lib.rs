@@ -37,7 +37,7 @@ pub use fingerprint::RequestFingerprint;
 pub use manifest::{
     valid_tenant_name, CorpusSpec, Manifest, ManifestDiff, ManifestError, TenantConfig,
 };
-pub use registry::{CorpusRegistry, RegistryError, Served, TenantOverview};
+pub use registry::{CorpusRegistry, EncodedSlot, RegistryError, Served, TenantOverview};
 pub use snapshot::{spec_fingerprint, SnapshotError, SnapshotInfo};
 
 use rpg_corpus::Corpus;

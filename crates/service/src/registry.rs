@@ -21,7 +21,7 @@ use rpg_repager::system::{PathRequest, RepagerError, RepagerOutput};
 use rpg_repager::Variant;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// An error serving a request through the registry.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +56,11 @@ impl From<RepagerError> for RegistryError {
     }
 }
 
+/// A write-once slot for the encoded form of one result. The registry
+/// never looks inside; a front end stores whatever bytes it would
+/// otherwise re-derive from the output on every hit.
+pub type EncodedSlot = Arc<OnceLock<Box<str>>>;
+
 /// A served result plus whether it came from the cache.
 #[derive(Debug, Clone)]
 pub struct Served {
@@ -64,6 +69,10 @@ pub struct Served {
     /// Whether the result was answered from the cache. A cached output's
     /// `timings` describe the run that populated the cache, not this hit.
     pub cached: bool,
+    /// The encoding slot of this result. A miss gets the slot it just
+    /// inserted into the cache, so filling it serves every later hit on
+    /// the entry; a result that was not cached gets a slot of its own.
+    pub encoded: EncodedSlot,
 }
 
 struct Tenant {
@@ -104,6 +113,80 @@ struct TenantKey {
     fingerprint: RequestFingerprint,
 }
 
+/// One cached result: the pipeline output and its encoding slot.
+#[derive(Debug, Clone)]
+struct CacheEntry {
+    output: Arc<RepagerOutput>,
+    encoded: EncodedSlot,
+}
+
+/// The shared result cache plus each tenant's entry count, kept in step
+/// with every insert, eviction and sweep so that enforcing a cache share
+/// costs O(1) under the cache lock rather than a scan of every key.
+struct ResultCache {
+    lru: LruCache<TenantKey, CacheEntry>,
+    per_tenant: HashMap<String, usize>,
+}
+
+impl ResultCache {
+    fn new(capacity: usize) -> Self {
+        ResultCache {
+            lru: LruCache::new(capacity),
+            per_tenant: HashMap::new(),
+        }
+    }
+
+    fn insert(&mut self, key: TenantKey, entry: CacheEntry) {
+        if self.lru.capacity() > 0 && !self.lru.contains_key(&key) {
+            match self.per_tenant.get_mut(&key.corpus) {
+                Some(count) => *count += 1,
+                None => {
+                    self.per_tenant.insert(key.corpus.clone(), 1);
+                }
+            }
+        }
+        if let Some(evicted) = self.lru.insert(key, entry) {
+            self.forget_one(&evicted.corpus);
+        }
+    }
+
+    /// Evicts the least-recently-used entry of one tenant; false when the
+    /// tenant has none.
+    fn evict_lru_of(&mut self, corpus: &str) -> bool {
+        match self.lru.evict_lru_where(|key| key.corpus == corpus) {
+            Some(key) => {
+                self.forget_one(&key.corpus);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Drops every entry of the tenants `swept` selects.
+    fn sweep(&mut self, swept: impl Fn(&str) -> bool) {
+        self.lru.retain(|key, _| !swept(&key.corpus));
+        self.per_tenant.retain(|corpus, _| !swept(corpus));
+    }
+
+    fn clear(&mut self) {
+        self.lru.clear();
+        self.per_tenant.clear();
+    }
+
+    fn entries_for(&self, corpus: &str) -> usize {
+        self.per_tenant.get(corpus).copied().unwrap_or(0)
+    }
+
+    fn forget_one(&mut self, corpus: &str) {
+        if let Some(count) = self.per_tenant.get_mut(corpus) {
+            *count -= 1;
+            if *count == 0 {
+                self.per_tenant.remove(corpus);
+            }
+        }
+    }
+}
+
 /// Builds a tenant's artifacts from its spec, preferring the spec's
 /// configured snapshot when one loads and its embedded fingerprint matches
 /// the spec. An unusable snapshot — missing file, corruption, or a
@@ -137,7 +220,7 @@ fn artifacts_for_spec(
 /// cache.
 pub struct CorpusRegistry {
     tenants: RwLock<HashMap<String, Tenant>>,
-    cache: Mutex<LruCache<TenantKey, Arc<RepagerOutput>>>,
+    cache: Mutex<ResultCache>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -153,7 +236,7 @@ impl CorpusRegistry {
     pub fn with_cache_capacity(capacity: usize) -> Self {
         CorpusRegistry {
             tenants: RwLock::new(HashMap::new()),
-            cache: Mutex::new(LruCache::new(capacity)),
+            cache: Mutex::new(ResultCache::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -321,12 +404,17 @@ impl CorpusRegistry {
         }
         // Phase 4: evict exactly the cache entries of tenants whose corpus
         // went away or changed.
-        let swept: HashSet<&String> = diff.replaced.iter().chain(&diff.removed).collect();
+        let swept: HashSet<&str> = diff
+            .replaced
+            .iter()
+            .chain(&diff.removed)
+            .map(String::as_str)
+            .collect();
         if !swept.is_empty() {
             self.cache
                 .lock()
                 .unwrap()
-                .retain(|key, _| !swept.contains(&key.corpus));
+                .sweep(|corpus| swept.contains(corpus));
         }
         // Phase 5: re-create manifest tenants that a concurrent removal
         // made vanish between the phase-1 snapshot and the commit; the
@@ -422,10 +510,7 @@ impl CorpusRegistry {
             }
         };
         if installed {
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
+            self.cache.lock().unwrap().sweep(|corpus| corpus == name);
         }
         Ok(new_epoch)
     }
@@ -462,10 +547,7 @@ impl CorpusRegistry {
             // The epoch bump already makes the old entries unreachable;
             // evicting them keeps the shared cache from carrying dead
             // weight until LRU pressure gets around to them.
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
+            self.cache.lock().unwrap().sweep(|corpus| corpus == name);
         }
     }
 
@@ -474,10 +556,7 @@ impl CorpusRegistry {
     pub fn remove(&self, name: &str) -> bool {
         let existed = self.tenants.write().unwrap().remove(name).is_some();
         if existed {
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
+            self.cache.lock().unwrap().sweep(|corpus| corpus == name);
         }
         existed
     }
@@ -575,7 +654,7 @@ impl CorpusRegistry {
         {
             let cache = self.cache.lock().unwrap();
             for row in &mut rows {
-                row.cached_entries = cache.keys().filter(|key| key.corpus == row.name).count();
+                row.cached_entries = cache.entries_for(&row.name);
             }
         }
         rows.sort_by(|a, b| a.name.cmp(&b.name));
@@ -628,14 +707,15 @@ impl CorpusRegistry {
             corpus: corpus.to_string(),
             fingerprint: RequestFingerprint::of(request).with_epoch(epoch),
         };
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
+        if let Some(hit) = self.cache.lock().unwrap().lru.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if let Some(trace) = &trace {
                 trace.record("cache_hit", lookup_started);
             }
             return Ok(Served {
-                output: hit,
+                output: hit.output,
                 cached: true,
+                encoded: hit.encoded,
             });
         }
         let output = crate::with_thread_scratch(|scratch| {
@@ -656,7 +736,10 @@ impl CorpusRegistry {
             output
         })?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let output = Arc::new(output);
+        let entry = CacheEntry {
+            output: Arc::new(output),
+            encoded: EncodedSlot::default(),
+        };
         // A refresh may have raced the pipeline run: its sweep runs before
         // this insert, so a result keyed under the old epoch would sit in
         // the cache unreachable until LRU pressure evicts it. Insert only
@@ -668,14 +751,14 @@ impl CorpusRegistry {
             let tenants = self.tenants.read().unwrap();
             if let Some(tenant) = tenants.get(corpus).filter(|t| t.epoch == epoch) {
                 let mut cache = self.cache.lock().unwrap();
-                cache.insert(key, output.clone());
+                cache.insert(key, entry.clone());
                 // A bounded cache share caps how much of the shared cache
                 // one tenant may occupy: past it, the tenant evicts its
                 // *own* least-recently-used entry instead of squeezing the
                 // others.
                 if let Some(share) = tenant.cache_share {
-                    while cache.keys().filter(|key| key.corpus == corpus).count() > share {
-                        if cache.evict_lru_where(|key| key.corpus == corpus).is_none() {
+                    while cache.entries_for(corpus) > share {
+                        if !cache.evict_lru_of(corpus) {
                             break;
                         }
                     }
@@ -683,8 +766,9 @@ impl CorpusRegistry {
             }
         }
         Ok(Served {
-            output,
+            output: entry.output,
             cached: false,
+            encoded: entry.encoded,
         })
     }
 
@@ -694,19 +778,14 @@ impl CorpusRegistry {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: cache.len(),
-            capacity: cache.capacity(),
+            entries: cache.lru.len(),
+            capacity: cache.lru.capacity(),
         }
     }
 
     /// Number of cached results belonging to one tenant.
     pub fn cached_entries_for(&self, name: &str) -> usize {
-        self.cache
-            .lock()
-            .unwrap()
-            .keys()
-            .filter(|key| key.corpus == name)
-            .count()
+        self.cache.lock().unwrap().entries_for(name)
     }
 
     /// Drops all cached results for every tenant (counters are kept).
@@ -1101,6 +1180,112 @@ mod tests {
             ..PathRequest::new(query, 10)
         };
         assert!(registry.generate("alpha", &request).unwrap().cached);
+    }
+
+    /// Each tenant's entry count, by a full scan of the cached keys.
+    fn scanned_counts(cache: &ResultCache) -> HashMap<String, usize> {
+        let mut counts = HashMap::new();
+        for key in cache.lru.keys() {
+            *counts.entry(key.corpus.clone()).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn per_tenant_counts_match_a_full_scan_through_every_mutation() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 10)
+        };
+        let output = registry.generate("alpha", &request).unwrap().output;
+        let tenants = ["alpha", "beta", "a\"b\\c", "café"];
+        let queries: Vec<String> = (0..12).map(|i| format!("q{i}")).collect();
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let mut cache = ResultCache::new(1 + next(10));
+            for step in 0..400 {
+                let tenant = tenants[next(tenants.len())];
+                match next(20) {
+                    0..=13 => {
+                        let key = TenantKey {
+                            corpus: tenant.to_string(),
+                            fingerprint: RequestFingerprint::of(&PathRequest::new(
+                                &queries[next(queries.len())],
+                                10,
+                            ))
+                            .with_epoch(next(2) as u64),
+                        };
+                        cache.insert(
+                            key,
+                            CacheEntry {
+                                output: output.clone(),
+                                encoded: EncodedSlot::default(),
+                            },
+                        );
+                    }
+                    14..=16 => {
+                        cache.evict_lru_of(tenant);
+                    }
+                    17 | 18 => cache.sweep(|corpus| corpus == tenant),
+                    _ => cache.clear(),
+                }
+                let scanned = scanned_counts(&cache);
+                assert_eq!(cache.per_tenant, scanned, "seed {seed}, step {step}");
+                for tenant in tenants {
+                    assert_eq!(
+                        cache.entries_for(tenant),
+                        scanned.get(tenant).copied().unwrap_or(0)
+                    );
+                }
+            }
+        }
+        let mut disabled = ResultCache::new(0);
+        disabled.insert(
+            TenantKey {
+                corpus: "alpha".to_string(),
+                fingerprint: RequestFingerprint::of(&request),
+            },
+            CacheEntry {
+                output,
+                encoded: EncodedSlot::default(),
+            },
+        );
+        assert!(disabled.per_tenant.is_empty(), "capacity 0 stores nothing");
+    }
+
+    #[test]
+    fn a_miss_hands_out_the_slot_its_hits_share() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 10)
+        };
+        let miss = registry.generate("alpha", &request).unwrap();
+        assert!(miss.encoded.set("bytes".into()).is_ok());
+        let hit = registry.generate("alpha", &request).unwrap();
+        assert!(hit.cached);
+        assert!(Arc::ptr_eq(&miss.encoded, &hit.encoded));
+        assert_eq!(hit.encoded.get().map(|b| &**b), Some("bytes"));
+        // After a refresh the recomputed result starts with an empty slot.
+        registry.refresh_in_place("alpha").unwrap();
+        let fresh = registry.generate("alpha", &request).unwrap();
+        assert!(!fresh.cached);
+        assert!(fresh.encoded.get().is_none());
+        // Without a cache every result gets a slot of its own.
+        let uncached = CorpusRegistry::with_cache_capacity(0);
+        uncached.register("alpha", corpus(0xA)).unwrap();
+        let a = uncached.generate("alpha", &request).unwrap();
+        let b = uncached.generate("alpha", &request).unwrap();
+        assert!(!Arc::ptr_eq(&a.encoded, &b.encoded));
     }
 
     #[test]

@@ -571,6 +571,12 @@ fn run_bench(options: &BenchOptions) -> Result<(), String> {
     if let Some(speedup) = report.seed_speedup() {
         eprintln!("  seed speedup vs reference: {speedup:.2}x");
     }
+    if let Some(speedup) = report.json_encode_speedup() {
+        eprintln!("  json encode speedup vs reference: {speedup:.2}x");
+    }
+    if let Some(ratio) = report.serve_hit_vs_healthz() {
+        eprintln!("  serve cache hit vs healthz: {ratio:.2}x");
+    }
 
     if let Some(baseline_path) = &options.check {
         let baseline_json = std::fs::read_to_string(baseline_path)

@@ -15,7 +15,7 @@ mod common;
 
 use common::{demo_queries, demo_registry, generate_body, spawn, spawn_with};
 use rpg_corpus::{generate, CorpusConfig};
-use rpg_repager::system::PathRequest;
+use rpg_repager::system::{PathRequest, RepagerOutput};
 use rpg_repro::demo_corpus;
 use rpg_server::{api, client};
 use rpg_service::{CorpusRegistry, PathService};
@@ -412,6 +412,206 @@ fn refresh_endpoint_evicts_exactly_that_tenants_cached_results() {
     let wrong_method = client::get(server.addr(), "/v1/corpora/aux/refresh").unwrap();
     assert_eq!(wrong_method.status, 405);
     assert_eq!(wrong_method.header("allow"), Some("POST"));
+}
+
+/// The reference encoding of a generate body: the `Value` tree the server
+/// used to build for every response, serialized.
+fn reference_body(corpus: &str, output: &RepagerOutput, cached: bool) -> String {
+    serde_json::to_string(&api::generate_response_value(corpus, output, cached)).unwrap()
+}
+
+/// A `/v1/generate` body addressed to `tenant` (escaped as JSON).
+fn tenant_body(tenant: &str, query: &str, year: u16, top_k: usize) -> String {
+    let tenant = serde_json::to_string(&tenant).unwrap();
+    format!(r#"{{"query": {query:?}, "max_year": {year}, "top_k": {top_k}, "corpus": {tenant}}}"#)
+}
+
+/// The registry's current answer for a request body, looked up in-process
+/// (after the server populated it, a hit on the very entry it served).
+fn served_in_process(registry: &CorpusRegistry, tenant: &str, body: &str) -> rpg_service::Served {
+    let dto: api::GenerateRequest = serde_json::from_str(body).unwrap();
+    let resolved = api::ResolvedRequest::resolve(&dto).unwrap();
+    registry
+        .generate(tenant, &resolved.as_path_request())
+        .unwrap()
+}
+
+/// Tenant names the manifest validation admits that need JSON escaping.
+const ESCAPED_TENANTS: [&str; 2] = ["a\"b\\c", "café"];
+
+#[test]
+fn spliced_bodies_match_the_reference_through_miss_hit_refresh_miss() {
+    let registry = demo_registry();
+    let artifacts = registry.artifacts("default").unwrap();
+    for tenant in ESCAPED_TENANTS {
+        registry.register_artifacts(tenant, artifacts.clone());
+    }
+    let server = spawn(registry.clone(), 2, 16);
+    let (query, year) = demo_queries(1).remove(0);
+    for tenant in ["default", ESCAPED_TENANTS[0], ESCAPED_TENANTS[1]] {
+        let body = tenant_body(tenant, &query, year, 20);
+        let generate = || {
+            let response = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
+            assert_eq!(response.status, 200, "{tenant}: {}", response.body);
+            response.body
+        };
+
+        let miss = generate();
+        let first = served_in_process(&registry, tenant, &body);
+        assert!(first.cached, "{tenant}: the miss populated the cache");
+        assert_eq!(
+            miss,
+            reference_body(tenant, &first.output, false),
+            "{tenant}: miss"
+        );
+        assert_eq!(
+            generate(),
+            reference_body(tenant, &first.output, true),
+            "{tenant}: hit"
+        );
+
+        let refresh =
+            client::post_json(server.addr(), &format!("/v1/corpora/{tenant}/refresh"), "").unwrap();
+        assert_eq!(refresh.status, 200, "{tenant}: {}", refresh.body);
+
+        let miss_again = generate();
+        let second = served_in_process(&registry, tenant, &body);
+        assert!(
+            !Arc::ptr_eq(&first.output, &second.output),
+            "{tenant}: the refresh evicted the entry"
+        );
+        assert_eq!(
+            miss_again,
+            reference_body(tenant, &second.output, false),
+            "{tenant}: miss after refresh"
+        );
+    }
+}
+
+#[test]
+fn batch_bodies_match_the_value_built_batch_across_hits_misses_and_errors() {
+    let registry = demo_registry();
+    registry.register_artifacts(ESCAPED_TENANTS[1], registry.artifacts("default").unwrap());
+    let server = spawn(registry.clone(), 2, 16);
+    let queries = demo_queries(3);
+    let item = |q: usize, tenant: &str| tenant_body(tenant, &queries[q].0, queries[q].1, 15);
+    // Warm one key per tenant so the batch mixes hits with misses.
+    for warm in [item(0, "default"), item(1, ESCAPED_TENANTS[1])] {
+        let response = client::post_json(server.addr(), "/v1/generate", &warm).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    let bad_variant = r#"{"query": "graph", "variant": "steiner"}"#.to_string();
+    let items = [
+        (item(0, "default"), Some(("default", true))),
+        (item(2, "default"), Some(("default", false))),
+        (bad_variant.clone(), None),
+        (item(0, "ghost"), None),
+        (
+            item(1, ESCAPED_TENANTS[1]),
+            Some((ESCAPED_TENANTS[1], true)),
+        ),
+        (
+            item(2, ESCAPED_TENANTS[1]),
+            Some((ESCAPED_TENANTS[1], false)),
+        ),
+    ];
+    let batch = format!(
+        r#"{{"requests": [{}]}}"#,
+        items
+            .iter()
+            .map(|(body, _)| body.as_str())
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let response = client::post_json(server.addr(), "/v1/batch", &batch).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+
+    let variant_error =
+        api::ResolvedRequest::resolve(&serde_json::from_str(&bad_variant).unwrap()).unwrap_err();
+    let expected: Vec<Value> = items
+        .iter()
+        .map(|(body, outcome)| match outcome {
+            Some((tenant, cached)) => {
+                let served = served_in_process(&registry, tenant, body);
+                api::generate_response_value(tenant, &served.output, *cached)
+            }
+            None if body == &bad_variant => {
+                api::item_error_value(variant_error.status, &variant_error.message)
+            }
+            None => api::item_error_value(404, "unknown corpus \"ghost\""),
+        })
+        .collect();
+    let expected = Value::Object(vec![("results".to_string(), Value::Array(expected))]);
+    assert_eq!(response.body, serde_json::to_string(&expected).unwrap());
+
+    let empty = client::post_json(server.addr(), "/v1/batch", r#"{"requests": []}"#).unwrap();
+    assert_eq!(empty.body, r#"{"results":[]}"#);
+}
+
+#[test]
+fn concurrent_first_hits_on_one_entry_get_identical_bytes() {
+    let registry = demo_registry();
+    let server = spawn(registry.clone(), 2, 16);
+    let (query, year) = demo_queries(1).remove(0);
+    let body = generate_body(&query, year, 20);
+    // An in-process miss caches the result without encoding it, so both
+    // requests below are the first to need the entry's bytes.
+    let populated = served_in_process(&registry, "default", &body);
+    assert!(!populated.cached);
+    assert!(populated.encoded.get().is_none());
+    let start = std::sync::Barrier::new(2);
+    let bodies: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut conn = client::Conn::connect(server.addr()).unwrap();
+                    start.wait();
+                    let response = conn.post_json("/v1/generate", &body).unwrap();
+                    assert_eq!(response.status, 200, "{}", response.body);
+                    response.body
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let expected = reference_body("default", &populated.output, true);
+    assert_eq!(bodies, [expected.clone(), expected]);
+    assert_eq!(
+        populated.encoded.get().map(|tail| &**tail),
+        Some(&*api::encode_result_tail(&populated.output)),
+        "the entry's slot now holds the encoded tail"
+    );
+}
+
+#[test]
+fn every_serve_query_body_encodes_like_the_reference_encoder() {
+    let registry = demo_registry();
+    let corpus = demo_corpus();
+    let bank = corpus.survey_bank();
+    assert_eq!(bank.len(), 48, "the rpg serve corpus has 48 survey queries");
+    for survey in bank.iter() {
+        let request = PathRequest {
+            max_year: Some(survey.year),
+            ..PathRequest::new(&survey.query, 30)
+        };
+        let output = registry.generate("default", &request).unwrap().output;
+        let tail = api::encode_result_tail(&output);
+        for cached in [false, true] {
+            let value = api::generate_response_value("default", &output, cached);
+            let body = serde_json::to_string(&value).unwrap();
+            assert_eq!(
+                body,
+                serde_json::reference::to_string(&value).unwrap(),
+                "{:?}",
+                survey.query
+            );
+            assert_eq!(
+                serde_json::to_string_pretty(&value).unwrap(),
+                serde_json::reference::to_string_pretty(&value).unwrap()
+            );
+            assert_eq!(api::splice_generate_body("default", cached, &tail), body);
+        }
+    }
 }
 
 #[test]

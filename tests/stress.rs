@@ -33,6 +33,24 @@ fn threads_named(prefix: &str) -> usize {
     count
 }
 
+/// [`threads_named`] once it has settled on `expected`, or its last
+/// reading after a bounded wait. `/proc/self/task` can still list a thread
+/// that an earlier server's shutdown has already joined (the join returns
+/// when the thread signals its exit, before the kernel drops its task
+/// entry), and a just-spawned thread shows its name only once it runs.
+/// Either transient would fail an exact count that the server itself gets
+/// right, so callers assert on the settled reading.
+fn settled_threads_named(prefix: &str, expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let count = threads_named(prefix);
+        if count == expected || Instant::now() >= deadline {
+            return count;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 const CONNECTIONS: usize = 512;
 const DRIVERS: usize = 2;
 
@@ -66,7 +84,7 @@ fn five_hundred_idle_keep_alive_connections_ride_on_two_driver_threads() {
     });
     assert_eq!(server.driver_threads(), DRIVERS);
     assert_eq!(
-        threads_named("rpg-loop-"),
+        settled_threads_named("rpg-loop-", DRIVERS),
         DRIVERS,
         "the event-loop pool must be exactly the configured fixed size"
     );
@@ -111,12 +129,12 @@ fn five_hundred_idle_keep_alive_connections_ride_on_two_driver_threads() {
     // No per-connection threads appeared anywhere: the loop pool is still
     // exactly two threads with 512 connections in flight.
     assert_eq!(
-        threads_named("rpg-loop-"),
+        settled_threads_named("rpg-loop-", DRIVERS),
         DRIVERS,
         "open connections must not grow the thread count"
     );
     assert_eq!(
-        threads_named("rpg-conn-"),
+        settled_threads_named("rpg-conn-", 0),
         0,
         "no thread-per-connection drivers may remain"
     );
@@ -245,8 +263,12 @@ fn idle_churn_holds_the_gauge_and_latency_flat_on_every_backend() {
         );
 
         // The churn rode entirely on the fixed loop pool.
-        assert_eq!(threads_named("rpg-loop-"), DRIVERS, "[{backend:?}]");
-        assert_eq!(threads_named("rpg-conn-"), 0, "[{backend:?}]");
+        assert_eq!(
+            settled_threads_named("rpg-loop-", DRIVERS),
+            DRIVERS,
+            "[{backend:?}]"
+        );
+        assert_eq!(settled_threads_named("rpg-conn-", 0), 0, "[{backend:?}]");
 
         // Mass hangup drains the gauge to zero before the next backend
         // (or the drop-guard shutdown) takes the stage.

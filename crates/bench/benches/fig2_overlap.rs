@@ -18,7 +18,7 @@ fn fig2(c: &mut Criterion) {
     // Benchmark the kernel: a 2-hop expansion of 30 seeds over the full
     // citation graph.
     let survey = &ctx.set.surveys[0];
-    let seeds = ctx.system.scholar().seed_papers(&rpg_engines::Query {
+    let seeds = ctx.artifacts.scholar().seed_papers(&rpg_engines::Query {
         text: &survey.query,
         top_k: 30,
         max_year: Some(survey.year),

@@ -28,16 +28,12 @@ fn fig8(c: &mut Criterion) {
                 config: RepagerConfig::default(),
                 variant: Variant::Newst,
             };
-            ctx.system
-                .generate_uncached(&request)
-                .unwrap()
-                .reading_list
-                .len()
+            ctx.artifacts.generate(&request).unwrap().reading_list.len()
         })
     });
     group.bench_function("scholar_single_query_top30", |b| {
         b.iter(|| {
-            ctx.system
+            ctx.artifacts
                 .scholar()
                 .seed_papers(&rpg_engines::Query {
                     text: &survey.query,

@@ -30,7 +30,7 @@ fn micro(c: &mut Criterion) {
     let pagerank = pagerank_default(corpus.graph()).unwrap();
     let node_weights = NodeWeights::build(&corpus, &pagerank);
     let survey = &ctx.set.surveys[0];
-    let seeds = ctx.system.scholar().seed_papers(&rpg_engines::Query {
+    let seeds = ctx.artifacts.scholar().seed_papers(&rpg_engines::Query {
         text: &survey.query,
         top_k: 30,
         max_year: Some(survey.year),

@@ -1,12 +1,14 @@
 //! Throughput of the `rpg-service` serving layer: serial single requests vs.
-//! batched fan-out over worker threads, plus the cost of an LRU cache hit.
+//! batched fan-out over worker threads, plus the cost of a registry cache
+//! hit.
 //!
 //! The workload is the demo corpus's benchmark survey queries — the same
 //! requests the evaluation loop issues — so the numbers reflect the shape of
 //! real query traffic. The batch/serial pair measures the same request set
-//! through `generate_uncached` (serial loop, one thread) and
-//! `generate_batch_with_threads` (all cores), which is the speedup the
-//! serving layer exists to provide.
+//! through `CorpusArtifacts::generate` (serial loop, one thread) and
+//! `parallel::fan_out` over `generate_with_scratch` (all cores), which is
+//! the speedup the serving layer exists to provide. `cache_hit` times a
+//! `CorpusRegistry::generate` hit, the cache the server answers from.
 //!
 //! The loopback group drives the same requests end-to-end through the
 //! `rpg-server` HTTP front end (TCP connect + JSON encode/decode + worker
@@ -20,14 +22,38 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rpg_bench::micro_corpus;
 use rpg_repager::system::PathRequest;
+use rpg_repager::{CorpusArtifacts, PipelineScratch};
 use rpg_server::{client, Server, ServerConfig};
-use rpg_service::{default_threads, CorpusRegistry, PathService};
+use rpg_service::{default_threads, parallel, CorpusRegistry};
 use std::sync::Arc;
+
+/// Runs every request once, fanned out over `threads` workers that each
+/// reuse one pipeline workspace; returns the summed reading-list lengths.
+fn generate_batch(
+    artifacts: &CorpusArtifacts,
+    requests: &[PathRequest<'_>],
+    threads: usize,
+) -> usize {
+    parallel::fan_out(
+        requests.len(),
+        threads,
+        PipelineScratch::new,
+        |scratch, i| {
+            artifacts
+                .generate_with_scratch(&requests[i], scratch)
+                .unwrap()
+                .reading_list
+                .len()
+        },
+    )
+    .into_iter()
+    .sum()
+}
 
 fn service_throughput(c: &mut Criterion) {
     let corpus = micro_corpus();
-    let service = PathService::build(corpus).expect("corpus artifacts build");
-    let surveys: Vec<(String, u16)> = service
+    let artifacts = CorpusArtifacts::build(corpus).expect("corpus artifacts build");
+    let surveys: Vec<(String, u16)> = artifacts
         .corpus()
         .survey_bank()
         .iter()
@@ -55,28 +81,29 @@ fn service_throughput(c: &mut Criterion) {
         b.iter(|| {
             requests
                 .iter()
-                .map(|r| service.generate_uncached(r).unwrap().reading_list.len())
+                .map(|r| artifacts.generate(r).unwrap().reading_list.len())
                 .sum::<usize>()
         })
     });
 
     group.bench_function("batch_all_cores", |b| {
-        b.iter(|| {
-            service.clear_cache();
-            service
-                .generate_batch_with_threads(&requests, threads)
-                .into_iter()
-                .map(|r| r.unwrap().reading_list.len())
-                .sum::<usize>()
-        })
+        b.iter(|| generate_batch(&artifacts, &requests, threads))
     });
 
-    // Warm the cache once, then measure pure hit latency.
+    // Warm the registry cache once, then measure pure hit latency.
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("default", artifacts.clone());
     let warm = &requests[0];
-    service.clear_cache();
-    service.generate(warm).unwrap();
+    registry.generate("default", warm).unwrap();
     group.bench_function("cache_hit", |b| {
-        b.iter(|| service.generate(warm).unwrap().reading_list.len())
+        b.iter(|| {
+            registry
+                .generate("default", warm)
+                .unwrap()
+                .output
+                .reading_list
+                .len()
+        })
     });
 
     group.finish();
@@ -86,12 +113,11 @@ fn service_throughput(c: &mut Criterion) {
     // loaded CI box cannot flake the bench run).
     let serial_started = std::time::Instant::now();
     for request in &requests {
-        let _ = service.generate_uncached(request).unwrap();
+        let _ = artifacts.generate(request).unwrap();
     }
     let serial = serial_started.elapsed();
-    service.clear_cache();
     let batch_started = std::time::Instant::now();
-    let _ = service.generate_batch_with_threads(&requests, threads);
+    let _ = generate_batch(&artifacts, &requests, threads);
     let batch = batch_started.elapsed();
     println!(
         "serial {} queries: {serial:?}; batch over {threads} threads: {batch:?} ({:.2}x)",
@@ -108,8 +134,7 @@ fn http_loopback(c: &mut Criterion) {
     // One corpus, one artifacts build, shared by both registries (the
     // second registry has caching disabled to isolate the miss path).
     let corpus = micro_corpus();
-    let artifacts =
-        rpg_repager::artifacts::CorpusArtifacts::build(corpus.clone()).expect("artifacts build");
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("artifacts build");
     let registry = Arc::new(CorpusRegistry::new());
     registry.register_artifacts("default", artifacts.clone());
     let uncached_registry = Arc::new(CorpusRegistry::with_cache_capacity(0));

@@ -35,11 +35,7 @@ fn table2(c: &mut Criterion) {
                     config: RepagerConfig::default().with_seed_count(seeds),
                     variant: Variant::Newst,
                 };
-                ctx.system
-                    .generate_uncached(&request)
-                    .unwrap()
-                    .reading_list
-                    .len()
+                ctx.artifacts.generate(&request).unwrap().reading_list.len()
             })
         });
     }

@@ -34,11 +34,7 @@ fn table3(c: &mut Criterion) {
                     config: RepagerConfig::default(),
                     variant,
                 };
-                ctx.system
-                    .generate_uncached(&request)
-                    .unwrap()
-                    .reading_list
-                    .len()
+                ctx.artifacts.generate(&request).unwrap().reading_list.len()
             })
         });
     }

@@ -38,10 +38,7 @@ fn table4(c: &mut Criterion) {
                     config: RepagerConfig::default(),
                     variant: Variant::Newst,
                 };
-                ctx.system
-                    .generate_uncached(&request)
-                    .unwrap()
-                    .subgraph_nodes
+                ctx.artifacts.generate(&request).unwrap().subgraph_nodes
             })
         });
     }

@@ -68,7 +68,7 @@ use rpg_repager::weights::NodeWeights;
 use rpg_repager::RepagerConfig;
 use rpg_server::api::generate_response_value;
 use rpg_server::{client, IoBackendChoice, Server, ServerConfig};
-use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, PathService};
+use rpg_service::{snapshot, CorpusRegistry, CorpusSpec};
 use rpg_textindex::bm25::{self, Bm25Index, Bm25Params};
 use rpg_textindex::SearchScratch;
 use serde::value::Value;
@@ -429,8 +429,11 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
     ));
 
     // End-to-end service path on the same corpus: the uncached cost is what
-    // the kernel rewrite moves; the cache hit pins the fast path.
-    let service = PathService::build(corpus.clone()).expect("service builds");
+    // the kernel rewrite moves; the registry cache hit (the cache the server
+    // uses) pins the fast path.
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("artifacts build");
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("default", artifacts.clone());
     let survey = corpus.survey_bank().iter().next().expect("survey bank");
     let exclude = [survey.paper];
     let request = PathRequest {
@@ -443,22 +446,25 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         iters.service,
         iters.warmup,
         || {
-            service
-                .generate_uncached(&request)
+            artifacts
+                .generate(&request)
                 .expect("request serves")
                 .reading_list
                 .len()
         },
     ));
-    service.generate(&request).expect("cache populates");
+    registry
+        .generate("default", &request)
+        .expect("cache populates");
     results.push(run_bench(
         "service_generate_cache_hit",
         iters.service,
         iters.warmup,
         || {
-            service
-                .generate(&request)
+            registry
+                .generate("default", &request)
                 .expect("cache hit serves")
+                .output
                 .reading_list
                 .len()
         },
@@ -568,8 +574,8 @@ fn run_seed_benches(corpus: &Corpus, iters: Iterations, results: &mut Vec<BenchR
 /// `serde_json::reference::to_string`, which also pays the deep copy the
 /// old encoder made of every tree it was handed.
 fn run_encode_benches(corpus: Corpus, iters: Iterations, results: &mut Vec<BenchResult>) {
-    let service = PathService::build(corpus).expect("serve corpus builds");
-    let bodies: Vec<Value> = service
+    let artifacts = CorpusArtifacts::build(corpus).expect("serve corpus builds");
+    let bodies: Vec<Value> = artifacts
         .corpus()
         .survey_bank()
         .iter()
@@ -578,7 +584,7 @@ fn run_encode_benches(corpus: Corpus, iters: Iterations, results: &mut Vec<Bench
                 max_year: Some(survey.year),
                 ..PathRequest::new(&survey.query, 30)
             };
-            let output = service.generate(&request).expect("survey query serves");
+            let output = artifacts.generate(&request).expect("survey query serves");
             generate_response_value("default", &output, false)
         })
         .collect();

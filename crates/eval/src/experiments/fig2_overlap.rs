@@ -46,7 +46,7 @@ pub fn run(ctx: &ExperimentContext<'_>, seed_counts: &[usize], survey_limit: usi
         let mut samples: [[Vec<f64>; 3]; 3] = Default::default();
         for survey in &surveys {
             let exclude = [survey.paper];
-            let seeds = ctx.system.scholar().seed_papers(&Query {
+            let seeds = ctx.artifacts.scholar().seed_papers(&Query {
                 text: &survey.query,
                 top_k,
                 max_year: Some(survey.year),

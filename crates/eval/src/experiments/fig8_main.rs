@@ -69,7 +69,7 @@ pub fn run(ctx: &ExperimentContext<'_>, ks: &[usize]) -> Fig8Report {
         corpus,
         ScholarEngine::from_index(ctx.index.clone()),
     ));
-    let newst = RepagerMethod::newst(&ctx.system);
+    let newst = RepagerMethod::newst(&ctx.artifacts);
 
     let methods: Vec<&dyn ListMethod> =
         vec![&newst, &scholar, &msacademic, &aminer, &pagerank, &scibert];

@@ -79,14 +79,14 @@ pub fn run(ctx: &ExperimentContext<'_>, query: Option<&str>) -> CaseStudyReport 
         config: RepagerConfig::default(),
         variant: Variant::Newst,
     };
-    let Ok(output) = ctx.system.generate(&request) else {
+    let Ok(output) = ctx.artifacts.generate(&request) else {
         return CaseStudyReport {
             query,
             ..Default::default()
         };
     };
 
-    let engine_top: Vec<PaperId> = ctx.system.scholar().seed_papers(&Query {
+    let engine_top: Vec<PaperId> = ctx.artifacts.scholar().seed_papers(&Query {
         text: &query,
         top_k: 30,
         max_year: None,

@@ -28,19 +28,19 @@ use crate::benchmark::EvaluationSet;
 use rpg_corpus::Corpus;
 use rpg_engines::EngineIndex;
 use rpg_repager::artifacts::CorpusArtifacts;
-use rpg_service::PathService;
 use std::sync::Arc;
 
-/// Shared state for experiment runs: the evaluation set, the serving-layer
-/// [`PathService`], and the shared engine index, built once per corpus.
+/// Shared state for experiment runs: the evaluation set, the corpus
+/// artifacts, and the shared engine index, built once per corpus.
 pub struct ExperimentContext<'c> {
     /// The corpus under evaluation.
     pub corpus: &'c Corpus,
     /// The evaluation surveys.
     pub set: EvaluationSet,
-    /// The reading-path service (engine index, PageRank and node weights
-    /// computed once, shared across the evaluation worker threads).
-    pub system: PathService,
+    /// The reading-path pipeline's artifacts (engine index, PageRank and
+    /// node weights computed once, shared across the evaluation worker
+    /// threads).
+    pub artifacts: Arc<CorpusArtifacts>,
     /// Shared lexical index for building the engine baselines.
     pub index: Arc<EngineIndex>,
     /// Number of worker threads used by the evaluation loops.
@@ -60,11 +60,10 @@ impl<'c> ExperimentContext<'c> {
         let index = EngineIndex::build(corpus);
         let artifacts = CorpusArtifacts::with_index(Arc::clone(corpus), index.clone())
             .expect("corpus artifacts build on a valid corpus");
-        let system = PathService::with_artifacts(artifacts);
         ExperimentContext {
             corpus: corpus.as_ref(),
             set,
-            system,
+            artifacts,
             index,
             threads: threads.max(1),
         }
@@ -102,10 +101,10 @@ mod tests {
         assert!(!ctx.set.is_empty());
         assert!(ctx.threads >= 1);
         assert_eq!(ctx.index.len(), corpus.len());
-        // The system is usable.
+        // The artifacts are usable.
         let survey = &ctx.set.surveys[0];
         let output = ctx
-            .system
+            .artifacts
             .generate(&rpg_repager::system::PathRequest::new(&survey.query, 10))
             .unwrap();
         assert!(output.reading_list.len() <= 10);

@@ -46,7 +46,7 @@ pub fn run(
     let mut rows = Vec::with_capacity(seed_counts.len());
     for &seed_count in seed_counts {
         let method = RepagerMethod::variant(
-            &ctx.system,
+            &ctx.artifacts,
             Variant::Newst,
             RepagerConfig::default().with_seed_count(seed_count),
         );

@@ -49,7 +49,7 @@ impl Table3Report {
 pub fn run(ctx: &ExperimentContext<'_>, k: usize, level: LabelLevel) -> Table3Report {
     let mut rows = Vec::with_capacity(Variant::ALL.len());
     for variant in Variant::ALL {
-        let method = RepagerMethod::variant(&ctx.system, variant, RepagerConfig::default());
+        let method = RepagerMethod::variant(&ctx.artifacts, variant, RepagerConfig::default());
         let lists = collect_lists(ctx.corpus, &ctx.set, &method, k, ctx.threads);
         let scores = lists.scores_at(&ctx.set, k, level);
         rows.push(VariantRow {

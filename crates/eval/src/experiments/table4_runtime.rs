@@ -50,10 +50,7 @@ pub fn run(ctx: &ExperimentContext<'_>, limit: usize) -> Table4Report {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        // Bypass the result cache: this experiment *measures* the pipeline,
-        // and an identical request may already have been cached by an
-        // earlier experiment in the same process.
-        let Ok(output) = ctx.system.generate_uncached(&request) else {
+        let Ok(output) = ctx.artifacts.generate(&request) else {
             continue;
         };
         if output.reading_list.is_empty() {

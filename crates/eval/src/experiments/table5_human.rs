@@ -94,7 +94,7 @@ pub fn run(
                     config: RepagerConfig::default(),
                     variant: Variant::Newst,
                 };
-                let list_b = match ctx.system.generate(&request) {
+                let list_b = match ctx.artifacts.generate(&request) {
                     Ok(output) => output.reading_list,
                     Err(_) => Vec::new(),
                 };

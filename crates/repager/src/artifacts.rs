@@ -3,11 +3,29 @@
 //! Everything the query pipeline needs that is a pure function of the corpus
 //! — the engine index, the seed engine, global PageRank, and the Eq. (3)
 //! node-weight table — is built once into a [`CorpusArtifacts`] and shared
-//! across threads behind an `Arc`. The borrowing [`crate::system::RePaGer`]
-//! facade recomputes these per instance; the serving layer
-//! (`rpg-service::PathService`) holds an `Arc<CorpusArtifacts>` so concurrent
-//! requests pay the build cost exactly once.
+//! across threads behind an `Arc`, so concurrent requests pay the build cost
+//! exactly once.
+//!
+//! [`CorpusArtifacts::generate`] is the one in-process entry point of the
+//! pipeline: it always runs the five stages (no result cache) on the calling
+//! thread's reused [`PipelineScratch`]. Callers that own their scratch — a
+//! batch worker, a benchmark loop — use
+//! [`CorpusArtifacts::generate_with_scratch`]. Caching lives one layer up,
+//! in `rpg-service`'s `CorpusRegistry`.
+//!
+//! ```
+//! use rpg_repager::system::PathRequest;
+//! use rpg_repager::CorpusArtifacts;
+//!
+//! let corpus = rpg_corpus::generate(&rpg_corpus::CorpusConfig::small());
+//! let artifacts = CorpusArtifacts::build(corpus).unwrap();
+//! let output = artifacts.generate(&PathRequest::new("graph neural networks", 20)).unwrap();
+//! assert!(output.reading_list.len() <= 20);
+//! ```
 
+use crate::scratch::{with_thread_scratch, PipelineScratch};
+use crate::stages::serve_request;
+use crate::system::{PathRequest, RepagerError, RepagerOutput};
 use crate::weights::NodeWeights;
 use rpg_corpus::Corpus;
 use rpg_engines::{EngineIndex, ScholarEngine};
@@ -115,6 +133,29 @@ impl CorpusArtifacts {
     pub fn node_weights(&self) -> &NodeWeights {
         &self.node_weights
     }
+
+    /// Generates a reading path and reading list for one request on this
+    /// thread's reused pipeline workspace. Never cached: every call runs the
+    /// pipeline, so its `timings` describe this run.
+    pub fn generate(&self, request: &PathRequest<'_>) -> Result<RepagerOutput, RepagerError> {
+        with_thread_scratch(|scratch| self.generate_with_scratch(request, scratch))
+    }
+
+    /// As [`CorpusArtifacts::generate`], on a caller-owned workspace (a
+    /// batch worker keeps one for its whole share of the requests).
+    pub fn generate_with_scratch(
+        &self,
+        request: &PathRequest<'_>,
+        scratch: &mut PipelineScratch,
+    ) -> Result<RepagerOutput, RepagerError> {
+        serve_request(
+            &self.corpus,
+            &self.scholar,
+            &self.node_weights,
+            request,
+            scratch,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -137,10 +178,30 @@ mod tests {
         // Sharing across threads only needs the Arc to be Send + Sync.
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         assert_send_sync(&artifacts);
-        let clone = artifacts.clone();
-        std::thread::spawn(move || clone.corpus().len())
-            .join()
-            .unwrap();
+        // Threads sharing one Arc generate exactly what a serial run does.
+        let surveys: Vec<_> = artifacts.corpus().survey_bank().iter().take(4).collect();
+        fn request(survey: &rpg_corpus::Survey) -> PathRequest<'_> {
+            PathRequest {
+                max_year: Some(survey.year),
+                ..PathRequest::new(&survey.query, 20)
+            }
+        }
+        let serial: Vec<RepagerOutput> = surveys
+            .iter()
+            .map(|s| artifacts.generate(&request(s)).unwrap())
+            .collect();
+        let (surveys, serial) = (&surveys, &serial);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                let shared = Arc::clone(&artifacts);
+                scope.spawn(move || {
+                    for (survey, expected) in surveys.iter().zip(serial) {
+                        let output = shared.generate(&request(survey)).unwrap();
+                        assert!(output.same_result(expected), "{:?}", survey.query);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -180,7 +180,8 @@ pub fn graph_sample_dot(corpus: &Corpus, sample_size: usize, seed: u64) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::{PathRequest, RePaGer};
+    use crate::system::PathRequest;
+    use crate::CorpusArtifacts;
     use rpg_corpus::{generate, Corpus, CorpusConfig};
 
     fn corpus() -> Corpus {
@@ -191,7 +192,7 @@ mod tests {
     }
 
     fn output(c: &Corpus) -> RepagerOutput {
-        let system = RePaGer::build(c).unwrap();
+        let system = CorpusArtifacts::build(c.clone()).unwrap();
         let survey = c.survey_bank().iter().next().unwrap();
         system
             .generate(&PathRequest::new(&survey.query, 25))

@@ -3,8 +3,7 @@
 //! PR 1 gave the Steiner stage a shared Dijkstra workspace; this module
 //! widens that idea to every allocating stage of the pipeline.  A
 //! [`PipelineScratch`] bundles the seed engine's term-at-a-time
-//! [`SearchScratch`](rpg_textindex::SearchScratch), the KMB kernel's
-//! [`SteinerScratch`](rpg_graph::steiner::SteinerScratch) and the dense
+//! [`SearchScratch`], the KMB kernel's [`SteinerScratch`] and the dense
 //! generation-stamped counters of seed reallocation, so a serving thread
 //! that keeps one scratch for its lifetime runs the seed, realloc and
 //! steiner stages without rebuilding hash tables or reallocating buffers
@@ -16,13 +15,35 @@
 //! [`StageTimings::counters`](crate::stages::StageTimings), making the
 //! allocation discipline observable end to end (per response and, summed,
 //! in `/v1/stats`).
+//!
+//! [`with_thread_scratch`] lends out one scratch per thread, so every
+//! caller that does not manage its own — in-process generation through
+//! [`CorpusArtifacts::generate`](crate::CorpusArtifacts::generate) and the
+//! registry's miss path alike — reuses the same warmed buffers.
 
 use crate::stages::StageCounters;
 use rpg_graph::steiner::SteinerScratch;
 use rpg_graph::NodeId;
 use rpg_obs::trace::StageTrace;
 use rpg_textindex::SearchScratch;
+use std::cell::RefCell;
 use std::time::Instant;
+
+thread_local! {
+    static THREAD_SCRATCH: RefCell<PipelineScratch> = RefCell::new(PipelineScratch::new());
+}
+
+/// Runs `f` with this thread's shared pipeline workspace.
+///
+/// A caller that arms a deadline or a trace on it must disarm both before
+/// returning: the next request served on this thread reuses the scratch.
+///
+/// # Panics
+///
+/// Panics if called re-entrantly from inside `f`.
+pub fn with_thread_scratch<T>(f: impl FnOnce(&mut PipelineScratch) -> T) -> T {
+    THREAD_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
 
 /// Reusable buffers + cumulative work counters for one serving worker.
 ///

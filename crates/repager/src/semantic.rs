@@ -12,12 +12,13 @@
 //! with the same evaluation harness (see the `semantic_blend` ablation in
 //! the repository's examples).
 
+use crate::artifacts::CorpusArtifacts;
 use crate::config::RepagerConfig;
 use crate::newst::{self, NewstForest};
 use crate::path::{self, ReadingPath};
 use crate::seeds::{reallocate, TerminalSelection};
 use crate::subgraph::SubGraph;
-use crate::system::{PathRequest, RePaGer, RepagerError};
+use crate::system::{PathRequest, RepagerError};
 use rpg_corpus::{Corpus, PaperId};
 use rpg_engines::Query;
 use rpg_graph::GraphError;
@@ -112,21 +113,21 @@ pub struct SemanticOutput {
 
 /// Runs the RePaGer pipeline with semantically blended edge costs.
 ///
-/// The stages are identical to [`RePaGer::generate`] except that the
+/// The stages are identical to [`CorpusArtifacts::generate`] except that the
 /// sub-graph's edge costs are rescaled by the semantic similarity before the
 /// Steiner stage.  Only the full-NEWST variant is supported (the extension
 /// targets the model, not its ablations).
 pub fn generate_with_semantics(
-    system: &RePaGer<'_>,
+    artifacts: &CorpusArtifacts,
     request: &PathRequest<'_>,
     semantic: &SemanticSimilarity,
     blend: f64,
 ) -> Result<SemanticOutput, RepagerError> {
     request.config.validate()?;
     let config: RepagerConfig = request.config;
-    let corpus = system.corpus();
+    let corpus = artifacts.corpus();
 
-    let seeds = system.scholar().seed_papers(&Query {
+    let seeds = artifacts.scholar().seed_papers(&Query {
         text: request.query,
         top_k: config.seed_count,
         max_year: request.max_year,
@@ -143,7 +144,7 @@ pub fn generate_with_semantics(
 
     let mut subgraph = SubGraph::build(
         corpus,
-        system.node_weights(),
+        artifacts.node_weights(),
         &seeds,
         &config,
         request.max_year,
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn semantic_generation_produces_a_consistent_path() {
         let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let artifacts = CorpusArtifacts::build(c.clone()).unwrap();
         let sem = SemanticSimilarity::build(&c);
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
@@ -281,7 +282,7 @@ mod tests {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        let output = generate_with_semantics(&system, &request, &sem, 2.0).unwrap();
+        let output = generate_with_semantics(&artifacts, &request, &sem, 2.0).unwrap();
         assert!(!output.reading_list.is_empty());
         assert!(output.path.is_consistent());
         assert!(output.subgraph_nodes > 0);
@@ -291,10 +292,10 @@ mod tests {
     #[test]
     fn empty_query_yields_empty_semantic_output() {
         let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let artifacts = CorpusArtifacts::build(c.clone()).unwrap();
         let sem = SemanticSimilarity::build(&c);
         let request = PathRequest::new("zzz qqq", 10);
-        let output = generate_with_semantics(&system, &request, &sem, 1.0).unwrap();
+        let output = generate_with_semantics(&artifacts, &request, &sem, 1.0).unwrap();
         assert!(output.reading_list.is_empty());
         assert!(output.path.is_empty());
     }

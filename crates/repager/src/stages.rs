@@ -1,18 +1,16 @@
 //! The RePaGer query path as an explicit five-stage pipeline.
 //!
-//! [`crate::system::RePaGer::generate`] used to be a monolith that walked all
-//! five steps of Fig. 6 inline. This module splits it into one [`Stage`] per
-//! step — [`SeedStage`] → [`SubgraphStage`] → [`ReallocStage`] →
-//! [`SteinerStage`] → [`RenderStage`] — driven by [`run_pipeline`], which
-//! times every stage into a [`StageTimings`] so per-request hot spots are
-//! observable, and threads a shared [`PipelineScratch`] through the seed,
-//! realloc and Steiner stages so the term-at-a-time seed ranking, the
-//! co-occurrence counting and the KMB heuristic's K single-source runs reuse
-//! one per-worker workspace.
+//! The five steps of Fig. 6 run as one [`Stage`] per step — [`SeedStage`] →
+//! [`SubgraphStage`] → [`ReallocStage`] → [`SteinerStage`] →
+//! [`RenderStage`] — driven by [`run_pipeline`], which times every stage
+//! into a [`StageTimings`] so per-request hot spots are observable, and
+//! threads a shared [`PipelineScratch`] through the seed, realloc and
+//! Steiner stages so the term-at-a-time seed ranking, the co-occurrence
+//! counting and the KMB heuristic's K single-source runs reuse one
+//! per-worker workspace.
 //!
-//! The stages borrow the corpus artifacts through a [`StageContext`]; both
-//! the borrowing [`crate::system::RePaGer`] facade and the owned
-//! `rpg-service::PathService` build one per request.
+//! The stages borrow the corpus artifacts through a [`StageContext`], which
+//! [`serve_request`] builds once per request.
 
 use crate::config::RepagerConfig;
 use crate::newst::{self, NewstForest};
@@ -428,10 +426,10 @@ fn timed_stage<T, E>(
 /// Validates a request and drives the pipeline over borrowed corpus
 /// artifacts.
 ///
-/// This is the single entry point both facades share — the borrowing
-/// [`crate::system::RePaGer`] and the owned `rpg-service::PathService` — so
-/// validation, variant application and stage sequencing cannot drift between
-/// them.
+/// This is the single entry point behind
+/// [`CorpusArtifacts::generate`](crate::CorpusArtifacts::generate) and
+/// [`CorpusArtifacts::generate_with_scratch`](crate::CorpusArtifacts::generate_with_scratch),
+/// which every caller — the registry's miss path included — goes through.
 pub fn serve_request(
     corpus: &Corpus,
     scholar: &ScholarEngine,
@@ -467,8 +465,8 @@ fn deadline_gate(cx: &StageContext<'_>) -> Result<(), RepagerError> {
 /// Drives the five stages for one request, recording per-stage timings.
 ///
 /// Validation of the request's configuration is the caller's responsibility
-/// (both facades validate before building the [`StageContext`], so the
-/// context always carries an applied, valid configuration).
+/// ([`serve_request`] validates before building the [`StageContext`], so
+/// the context always carries an applied, valid configuration).
 pub fn run_pipeline(cx: &mut StageContext<'_>) -> Result<RepagerOutput, RepagerError> {
     let started = Instant::now();
     let mut timings = StageTimings::default();

@@ -1,26 +1,21 @@
-//! The end-to-end RePaGer system (Fig. 6 of the paper).
+//! The request and response types of the end-to-end RePaGer system (Fig. 6
+//! of the paper).
 //!
-//! [`RePaGer`] is the borrowing facade over the staged pipeline of
-//! [`crate::stages`]: seed retrieval, weighted citation graph, sub-graph
-//! construction, seed reallocation, and NEWST.  Its output carries the
-//! structured [`ReadingPath`] (what the web UI of Section V renders), a
-//! flattened ranked *reading list* (what the overlap-metric evaluation of
-//! Section VI consumes), and per-stage [`StageTimings`].
-//!
-//! For an owned, thread-shareable handle over the same pipeline (plus batch
-//! execution and result caching), see `rpg-service::PathService`.
+//! A [`PathRequest`] names a query, a list length, a year cutoff, excluded
+//! papers, the model parameters and the variant. Its [`RepagerOutput`]
+//! carries the structured [`ReadingPath`] (what the web UI of Section V
+//! renders), a flattened ranked *reading list* (what the overlap-metric
+//! evaluation of Section VI consumes), and per-stage [`StageTimings`].
+//! [`CorpusArtifacts::generate`](crate::CorpusArtifacts::generate) turns one
+//! into the other through the staged pipeline of [`crate::stages`].
 
 use crate::config::RepagerConfig;
 use crate::newst::NewstForest;
 use crate::path::ReadingPath;
-use crate::scratch::PipelineScratch;
 use crate::seeds::SeedAllocation;
 use crate::stages::StageTimings;
 use crate::variants::Variant;
-use crate::weights::NodeWeights;
-use rpg_corpus::{Corpus, PaperId};
-use rpg_engines::{EngineIndex, ScholarEngine};
-use rpg_graph::pagerank::pagerank_default;
+use rpg_corpus::PaperId;
 use rpg_graph::GraphError;
 
 /// An error serving a reading-path request: either the request's
@@ -143,91 +138,23 @@ impl RepagerOutput {
     }
 }
 
-/// The RePaGer system bound to a corpus.
-pub struct RePaGer<'c> {
-    corpus: &'c Corpus,
-    scholar: ScholarEngine,
-    node_weights: NodeWeights,
-}
-
-impl<'c> RePaGer<'c> {
-    /// Builds the system: computes global PageRank (Step 2's node weights)
-    /// and the seed search engine over the corpus.
-    ///
-    /// Errors if the corpus graph rejects the PageRank computation.
-    pub fn build(corpus: &'c Corpus) -> Result<Self, GraphError> {
-        let index = EngineIndex::build(corpus);
-        Self::with_engine(corpus, ScholarEngine::from_index(index))
-    }
-
-    /// Builds the system reusing an existing shared engine index (avoids
-    /// re-indexing when baselines share the same corpus).
-    ///
-    /// Errors if the corpus graph rejects the PageRank computation.
-    pub fn with_engine(corpus: &'c Corpus, scholar: ScholarEngine) -> Result<Self, GraphError> {
-        let pagerank = pagerank_default(corpus.graph())?;
-        let node_weights = NodeWeights::build(corpus, &pagerank);
-        Ok(RePaGer {
-            corpus,
-            scholar,
-            node_weights,
-        })
-    }
-
-    /// The corpus the system is bound to.
-    pub fn corpus(&self) -> &Corpus {
-        self.corpus
-    }
-
-    /// The node-weight table (exposed for diagnostics and rendering).
-    pub fn node_weights(&self) -> &NodeWeights {
-        &self.node_weights
-    }
-
-    /// The seed engine.
-    pub fn scholar(&self) -> &ScholarEngine {
-        &self.scholar
-    }
-
-    /// Generates a reading path and reading list for a request with a fresh
-    /// pipeline workspace.
-    pub fn generate(&self, request: &PathRequest<'_>) -> Result<RepagerOutput, RepagerError> {
-        let mut scratch = PipelineScratch::new();
-        self.generate_with_scratch(request, &mut scratch)
-    }
-
-    /// Generates a reading path reusing a caller-provided pipeline workspace
-    /// (the serving layer holds one per worker thread).
-    pub fn generate_with_scratch(
-        &self,
-        request: &PathRequest<'_>,
-        scratch: &mut PipelineScratch,
-    ) -> Result<RepagerOutput, RepagerError> {
-        crate::stages::serve_request(
-            self.corpus,
-            &self.scholar,
-            &self.node_weights,
-            request,
-            scratch,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CorpusArtifacts;
     use rpg_corpus::{generate, CorpusConfig, LabelLevel};
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn corpus() -> Corpus {
-        generate(&CorpusConfig {
+    fn system() -> Arc<CorpusArtifacts> {
+        CorpusArtifacts::build(generate(&CorpusConfig {
             seed: 101,
             ..CorpusConfig::small()
-        })
+        }))
+        .unwrap()
     }
 
     fn first_survey_request<'a>(
-        _corpus: &'a Corpus,
         query: &'a str,
         exclude: &'a [PaperId],
         year: u16,
@@ -244,11 +171,11 @@ mod tests {
 
     #[test]
     fn generates_a_consistent_reading_path() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
-        let request = first_survey_request(&c, &survey.query, &exclude, survey.year);
+        let request = first_survey_request(&survey.query, &exclude, survey.year);
         let output = system.generate(&request).unwrap();
         assert!(!output.reading_list.is_empty());
         assert!(output.reading_list.len() <= 30);
@@ -262,13 +189,13 @@ mod tests {
 
     #[test]
     fn reading_list_overlaps_ground_truth_better_than_chance() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let mut hits = 0usize;
         let mut evaluated = 0usize;
         for survey in c.survey_bank().iter().take(6) {
             let exclude = [survey.paper];
-            let request = first_survey_request(&c, &survey.query, &exclude, survey.year);
+            let request = first_survey_request(&survey.query, &exclude, survey.year);
             let output = system.generate(&request).unwrap();
             let truth: std::collections::HashSet<_> =
                 survey.label(LabelLevel::AtLeastOne).into_iter().collect();
@@ -285,9 +212,8 @@ mod tests {
 
     #[test]
     fn variants_produce_different_lists() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let survey = c.survey_bank().iter().next().unwrap();
+        let system = system();
+        let survey = system.corpus().survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
         let mut lists = Vec::new();
         for variant in [
@@ -297,7 +223,7 @@ mod tests {
         ] {
             let request = PathRequest {
                 variant,
-                ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+                ..first_survey_request(&survey.query, &exclude, survey.year)
             };
             lists.push(system.generate(&request).unwrap().reading_list);
         }
@@ -305,7 +231,7 @@ mod tests {
         // NEWST-C never produces a path.
         let request = PathRequest {
             variant: Variant::CandidatesOnly,
-            ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+            ..first_survey_request(&survey.query, &exclude, survey.year)
         };
         let output = system.generate(&request).unwrap();
         assert!(output.path.is_empty());
@@ -314,14 +240,13 @@ mod tests {
 
     #[test]
     fn top_k_controls_list_length() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let survey = c.survey_bank().iter().next().unwrap();
+        let system = system();
+        let survey = system.corpus().survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
         for k in [5usize, 20, 50] {
             let request = PathRequest {
                 top_k: k,
-                ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+                ..first_survey_request(&survey.query, &exclude, survey.year)
             };
             let output = system.generate(&request).unwrap();
             assert!(output.reading_list.len() <= k);
@@ -337,8 +262,7 @@ mod tests {
 
     #[test]
     fn nonsense_query_yields_empty_output() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
         let request = PathRequest::new("zzzzz qqqqq xxxxx", 20);
         let output = system.generate(&request).unwrap();
         assert!(output.reading_list.is_empty());
@@ -347,9 +271,8 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let survey = c.survey_bank().iter().next().unwrap();
+        let system = system();
+        let survey = system.corpus().survey_bank().iter().next().unwrap();
         let request = PathRequest {
             config: RepagerConfig {
                 seed_count: 0,
@@ -368,30 +291,37 @@ mod tests {
 
     #[test]
     fn stage_timings_are_recorded() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let survey = c.survey_bank().iter().next().unwrap();
+        let system = system();
+        let survey = system.corpus().survey_bank().iter().next().unwrap();
         let output = system
             .generate(&PathRequest::new(&survey.query, 20))
             .unwrap();
-        assert!(output.timings.total > Duration::ZERO);
-        assert_eq!(output.elapsed(), output.timings.total);
-        // Every stage that ran must have a recorded duration, and the stages
-        // must account for (almost) all of the total.
-        assert!(output.timings.stage_sum() <= output.timings.total);
-        for (name, duration) in output.timings.stages() {
+        let timings = output.timings;
+        assert!(timings.total > Duration::ZERO);
+        assert_eq!(output.elapsed(), timings.total);
+        // All five stages have a recorded duration, and they account for
+        // the total minus bounded pipeline bookkeeping. A strict ratio is
+        // flaky on loaded CI runners (a scheduler stall between stages
+        // counts toward the total but no stage), so allow an absolute gap.
+        for (name, duration) in timings.stages() {
             assert!(
                 duration > Duration::ZERO,
                 "stage {name} has no recorded time"
             );
         }
+        assert!(timings.stage_sum() <= timings.total);
+        let gap = timings.total - timings.stage_sum();
+        assert!(
+            gap < Duration::from_millis(250),
+            "non-stage overhead {gap:?} is too large for {:?} total",
+            timings.total
+        );
     }
 
     #[test]
     fn larger_seed_count_does_not_shrink_the_subgraph() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let survey = c.survey_bank().iter().next().unwrap();
+        let system = system();
+        let survey = system.corpus().survey_bank().iter().next().unwrap();
         let small = system
             .generate(&PathRequest {
                 config: RepagerConfig::default().with_seed_count(10),

@@ -2,7 +2,7 @@
 //!
 //! [`output_result_value`] is *the* encoding of a pipeline result. The
 //! integration suite drives the same function over a direct
-//! `PathService::generate` output and asserts byte-identical JSON against
+//! `CorpusArtifacts::generate` output and asserts byte-identical JSON against
 //! the server's `result` field, so the HTTP layer provably adds nothing and
 //! loses nothing.
 //!

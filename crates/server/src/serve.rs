@@ -2610,22 +2610,19 @@ pub mod test_hooks {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex};
 
-    /// When armed, the next non-batch job panics *after* its reply is sent
-    /// — past `run_job`'s pipeline guard — exercising the worker's
-    /// in-flight release guard. Self-disarms on first use.
-    pub static PANIC_AFTER_REPLY: AtomicBool = AtomicBool::new(false);
-
     /// A per-server latch that parks compute workers after a non-batch
     /// job's compute and before its reply, so a test holds the worker
     /// pool busy exactly until it lets the work through, instead of
     /// hoping an expensive request outlasts the staging. It also counts
     /// the mid-compute client resets the event loops observed, so a test
-    /// can wait for a hangup to register before letting work through.
+    /// can wait for a hangup to register before letting work through,
+    /// and carries the server's one-shot panic-after-reply switch.
     #[derive(Debug, Default)]
     pub struct ComputeHold {
         state: Mutex<HoldState>,
         changed: Condvar,
         resets: AtomicUsize,
+        panic_after_reply: AtomicBool,
     }
 
     #[derive(Debug, Default)]
@@ -2658,6 +2655,17 @@ pub mod test_hooks {
         /// Mid-compute client resets observed so far.
         pub fn resets(&self) -> usize {
             self.resets.load(Ordering::SeqCst)
+        }
+
+        /// Makes this server's next non-batch job panic *after* its reply
+        /// is sent — past `run_job`'s pipeline guard — exercising the
+        /// worker's in-flight release guard. Self-disarms on first use.
+        pub fn panic_after_next_reply(&self) {
+            self.panic_after_reply.store(true, Ordering::SeqCst);
+        }
+
+        pub(crate) fn take_panic_after_reply(&self) -> bool {
+            self.panic_after_reply.swap(false, Ordering::SeqCst)
         }
 
         pub(crate) fn wait(&self) {
@@ -2788,7 +2796,7 @@ fn run_job(job: Job, shared: &Shared) {
             // must also find the sample in /metrics and /v1/stats.
             metrics.latency.record(admitted_at.elapsed());
             reply.send(response);
-            if test_hooks::PANIC_AFTER_REPLY.swap(false, Ordering::SeqCst) {
+            if shared.hold.take_panic_after_reply() {
                 panic!("test hook: panic after reply");
             }
         }

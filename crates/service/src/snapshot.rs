@@ -1042,12 +1042,8 @@ mod tests {
             max_year: Some(year),
             ..rpg_repager::system::PathRequest::new(&query, 25)
         };
-        let a = crate::PathService::with_artifacts(artifacts)
-            .generate_uncached(&request)
-            .unwrap();
-        let b = crate::PathService::with_artifacts(decoded)
-            .generate_uncached(&request)
-            .unwrap();
+        let a = artifacts.generate(&request).unwrap();
+        let b = decoded.generate(&request).unwrap();
         assert!(a.same_result(&b));
         assert_eq!(a.reading_list, b.reading_list);
     }

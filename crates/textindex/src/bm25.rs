@@ -3,7 +3,7 @@
 //! The Google-Scholar-like and Microsoft-Academic-like simulated engines rank
 //! with BM25 over a weighted combination of the title and body fields.
 //! Ranking is term-at-a-time (see [`crate::taat`]); the pre-rewrite
-//! per-document scorer survives as [`reference`], the differential oracle.
+//! per-document scorer survives as [`mod@reference`], the differential oracle.
 
 use crate::inverted::InvertedIndex;
 use crate::taat::{SearchScratch, TermModel};

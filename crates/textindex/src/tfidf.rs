@@ -3,7 +3,7 @@
 //! Used by the AMiner-like simulated engine and as the document-weighting
 //! basis for the embedding model in [`crate::embed`].  Ranking is
 //! term-at-a-time (see [`crate::taat`]); the pre-rewrite per-document
-//! scorer survives as [`reference`], the differential oracle.
+//! scorer survives as [`mod@reference`], the differential oracle.
 
 use crate::inverted::InvertedIndex;
 use crate::taat::{SearchScratch, TermModel};

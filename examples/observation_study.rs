@@ -34,7 +34,7 @@ fn main() {
     // Also show the Fig. 1-style single-survey view for the first survey.
     let survey = &ctx.set.surveys[0];
     let exclude = [survey.paper];
-    let seeds = ctx.system.scholar().seed_papers(&rpg_engines::Query {
+    let seeds = ctx.artifacts.scholar().seed_papers(&rpg_engines::Query {
         text: &survey.query,
         top_k: 5,
         max_year: Some(survey.year),

@@ -14,14 +14,14 @@
 
 use rpg_repager::render::{output_to_text, path_to_dot};
 use rpg_repager::system::PathRequest;
-use rpg_repro::demo_service;
+use rpg_repro::demo_artifacts;
 
 fn main() {
     // 1+2. A synthetic scholarly corpus standing in for S2ORC (see
-    //    DESIGN.md), wrapped in the serving layer (global PageRank + seed
-    //    search engine are built once into shared artifacts).
-    let system = demo_service();
-    let corpus = system.corpus();
+    //    DESIGN.md), with global PageRank and the seed search engine built
+    //    once into shared artifacts.
+    let artifacts = demo_artifacts();
+    let corpus = artifacts.corpus();
     println!(
         "corpus: {} papers, {} citation edges, {} surveys in the benchmark",
         corpus.len(),
@@ -33,13 +33,15 @@ fn main() {
     //    case study; any free-text query works.
     let query = "pretrained language models";
     let request = PathRequest::new(query, 30);
-    let output = system.generate(&request).expect("path generation succeeds");
+    let output = artifacts
+        .generate(&request)
+        .expect("path generation succeeds");
 
     println!("\nquery: {query}");
     println!("{}", output_to_text(corpus, &output));
 
     // 4. The same path as Graphviz DOT (render with `dot -Tpng`).
-    let engine_top = system.scholar().seed_papers(&rpg_engines::Query {
+    let engine_top = artifacts.scholar().seed_papers(&rpg_engines::Query {
         text: query,
         top_k: 30,
         max_year: None,

@@ -16,13 +16,13 @@
 use rpg_corpus::LabelLevel;
 use rpg_eval::metrics::{f1_score, precision};
 use rpg_repager::semantic::{generate_with_semantics, SemanticSimilarity};
-use rpg_repager::system::{PathRequest, RePaGer};
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::system::PathRequest;
+use rpg_repager::{CorpusArtifacts, RepagerConfig, Variant};
 use rpg_repro::demo_corpus;
 
 fn main() {
     let corpus = demo_corpus();
-    let system = RePaGer::build(&corpus).unwrap();
+    let artifacts = CorpusArtifacts::build(corpus.clone()).unwrap();
     let semantic = SemanticSimilarity::build(&corpus);
     let blend = 2.0;
 
@@ -44,8 +44,8 @@ fn main() {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        let plain = system.generate(&request).expect("plain NEWST runs");
-        let blended = generate_with_semantics(&system, &request, &semantic, blend)
+        let plain = artifacts.generate(&request).expect("plain NEWST runs");
+        let blended = generate_with_semantics(&artifacts, &request, &semantic, blend)
             .expect("semantic NEWST runs");
         if plain.reading_list.is_empty() || blended.reading_list.is_empty() {
             continue;

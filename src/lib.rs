@@ -19,12 +19,12 @@ pub use rpg_service as service;
 pub use rpg_textindex as textindex;
 
 use rpg_corpus::{generate, Corpus, CorpusConfig};
-use rpg_service::PathService;
+use rpg_repager::CorpusArtifacts;
 use std::sync::Arc;
 
 /// Generates the small demonstration corpus used by the examples and the
 /// integration tests (about 1.2k papers, 50 surveys; deterministic).
-/// Returned behind an `Arc` so services and experiment contexts share it
+/// Returned behind an `Arc` so artifacts and experiment contexts share it
 /// without copying.
 pub fn demo_corpus() -> Arc<Corpus> {
     Arc::new(generate(&CorpusConfig {
@@ -39,8 +39,10 @@ pub fn full_corpus() -> Arc<Corpus> {
     Arc::new(generate(&CorpusConfig::default()))
 }
 
-/// Builds a [`PathService`] over the demonstration corpus: the one-line way
-/// to serve queries concurrently from examples and tests.
-pub fn demo_service() -> PathService {
-    PathService::build(demo_corpus()).expect("demo corpus artifacts build")
+/// Builds the shareable [`CorpusArtifacts`] of the demonstration corpus:
+/// the one-line way to generate reading paths from examples and tests
+/// (cache results by registering them in a
+/// [`CorpusRegistry`](rpg_service::CorpusRegistry)).
+pub fn demo_artifacts() -> Arc<CorpusArtifacts> {
+    CorpusArtifacts::build(demo_corpus()).expect("demo corpus artifacts build")
 }

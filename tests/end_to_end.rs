@@ -7,9 +7,8 @@ use rpg_eval::metrics::{f1_score, precision};
 use rpg_graph::topo;
 use rpg_repager::render::output_to_text;
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{CorpusArtifacts, RepagerConfig, Variant};
 use rpg_repro::demo_corpus;
-use rpg_service::PathService;
 
 #[test]
 fn corpus_engines_and_repager_fit_together() {
@@ -45,7 +44,7 @@ fn corpus_engines_and_repager_fit_together() {
 
     // RePaGer produces a non-trivial, citation-consistent path for a survey
     // query and the flattened list scores above zero against the ground truth.
-    let system = PathService::build(corpus.clone()).unwrap();
+    let system = CorpusArtifacts::build(corpus.clone()).unwrap();
     let survey = corpus.survey_bank().iter().next().unwrap();
     let exclude = [survey.paper];
     let output = system
@@ -71,7 +70,7 @@ fn corpus_engines_and_repager_fit_together() {
 #[test]
 fn repager_beats_a_random_baseline_on_precision() {
     let corpus = demo_corpus();
-    let system = PathService::build(corpus.clone()).unwrap();
+    let system = CorpusArtifacts::build(corpus.clone()).unwrap();
     let mut newst_precisions = Vec::new();
     let mut random_precisions = Vec::new();
 
@@ -134,8 +133,8 @@ fn generation_is_reproducible_across_processes() {
     assert_eq!(sa.query, sb.query);
     assert_eq!(sa.references, sb.references);
 
-    let system_a = PathService::build(a.clone()).unwrap();
-    let system_b = PathService::build(b.clone()).unwrap();
+    let system_a = CorpusArtifacts::build(a.clone()).unwrap();
+    let system_b = CorpusArtifacts::build(b.clone()).unwrap();
     let exclude_a = [sa.paper];
     let exclude_b = [sb.paper];
     let out_a = system_a

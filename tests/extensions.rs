@@ -7,14 +7,14 @@ use rpg_eval::experiments::{table3_ablation, ExperimentContext};
 use rpg_eval::metrics::{average_precision, f1_score, ndcg};
 use rpg_eval::report::to_json;
 use rpg_repager::semantic::{generate_with_semantics, SemanticSimilarity};
-use rpg_repager::system::{PathRequest, RePaGer};
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::system::PathRequest;
+use rpg_repager::{CorpusArtifacts, RepagerConfig, Variant};
 use rpg_repro::demo_corpus;
 
 #[test]
 fn semantic_extension_is_competitive_with_plain_newst() {
     let corpus = demo_corpus();
-    let system = RePaGer::build(&corpus).unwrap();
+    let artifacts = CorpusArtifacts::build(corpus.clone()).unwrap();
     let semantic = SemanticSimilarity::build(&corpus);
 
     let mut plain = Vec::new();
@@ -29,8 +29,8 @@ fn semantic_extension_is_competitive_with_plain_newst() {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        let a = system.generate(&request).unwrap();
-        let b = generate_with_semantics(&system, &request, &semantic, 2.0).unwrap();
+        let a = artifacts.generate(&request).unwrap();
+        let b = generate_with_semantics(&artifacts, &request, &semantic, 2.0).unwrap();
         if a.reading_list.is_empty() || b.reading_list.is_empty() {
             continue;
         }

@@ -16,9 +16,10 @@ mod common;
 use common::{demo_queries, demo_registry, generate_body, spawn, spawn_with};
 use rpg_corpus::{generate, CorpusConfig};
 use rpg_repager::system::{PathRequest, RepagerOutput};
+use rpg_repager::CorpusArtifacts;
 use rpg_repro::demo_corpus;
 use rpg_server::{api, client};
-use rpg_service::{CorpusRegistry, PathService};
+use rpg_service::CorpusRegistry;
 use serde_json::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +33,7 @@ fn result_bytes(body: &str) -> String {
 }
 
 /// The canonical JSON a direct in-process run of this query produces.
-fn expected_result(direct: &PathService, query: &str, year: u16, top_k: usize) -> String {
+fn expected_result(direct: &CorpusArtifacts, query: &str, year: u16, top_k: usize) -> String {
     let output = direct
         .generate(&PathRequest {
             max_year: Some(year),
@@ -45,9 +46,9 @@ fn expected_result(direct: &PathService, query: &str, year: u16, top_k: usize) -
 #[test]
 fn concurrent_clients_get_byte_identical_json_to_in_process_generation() {
     let registry = demo_registry();
-    // The direct service shares the server's artifacts, so any divergence
+    // The direct run shares the server's artifacts, so any divergence
     // below is the HTTP layer's fault, not a different corpus build.
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn(registry, 4, 32);
 
     let queries = demo_queries(4);
@@ -147,7 +148,7 @@ fn queue_overflow_gets_503_with_retry_after_and_the_server_recovers() {
 #[test]
 fn malformed_bodies_are_400_and_the_same_workers_keep_serving() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     // A single worker: if any malformed request killed it, the follow-up
     // real request could never be answered.
     let server = spawn(registry, 1, 8);
@@ -182,7 +183,7 @@ fn malformed_bodies_are_400_and_the_same_workers_keep_serving() {
 #[test]
 fn batch_preserves_order_and_isolates_per_item_failures() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn(registry, 2, 16);
     let queries = demo_queries(2);
 
@@ -617,7 +618,7 @@ fn every_serve_query_body_encodes_like_the_reference_encoder() {
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn_with(registry, |config| {
         config.workers = 2;
         config.queue_capacity = 16;
@@ -657,7 +658,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
 fn pipelined_second_request_is_served_from_the_retained_buffer() {
     use std::io::Write;
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn_with(registry, |config| {
         config.workers = 2;
         config.queue_capacity = 16;
@@ -1052,7 +1053,10 @@ fn a_panic_past_the_reply_keeps_the_worker_and_releases_the_charge() {
     let (query, year) = demo_queries(1).remove(0);
     let body = generate_body(&query, year, 10);
 
-    rpg_server::test_hooks::PANIC_AFTER_REPLY.store(true, std::sync::atomic::Ordering::SeqCst);
+    // The worker logs the absorbed panic; capture the line instead of
+    // letting the expected error reach the test output.
+    rpg_obs::log::set_capture(true);
+    server.compute_hold().panic_after_next_reply();
     let first = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
     assert_eq!(first.status, 200, "{}", first.body);
 
@@ -1081,4 +1085,14 @@ fn a_panic_past_the_reply_keeps_the_worker_and_releases_the_charge() {
     // through the cap the leak would have pinned shut.
     let second = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
     assert_eq!(second.status, 200, "{}", second.body);
+
+    // The sole worker logged the panic before it took the second job.
+    let captured = rpg_obs::log::take_captured();
+    rpg_obs::log::set_capture(false);
+    assert!(
+        captured
+            .iter()
+            .any(|line| line.contains("panicked past its pipeline guard")),
+        "{captured:?}"
+    );
 }

@@ -1,13 +1,17 @@
-//! Integration tests for the `rpg-service` serving layer over the demo
-//! corpus: concurrency, caching, batch/serial equivalence and stage timings.
+//! Integration tests for in-process serving over the demo corpus: shared
+//! `CorpusArtifacts` under concurrency, batch/serial equivalence, stage
+//! timings, and the registry's result cache.
 
 use rpg_repager::system::{PathRequest, RepagerOutput};
-use rpg_repager::RePaGer;
-use rpg_repro::{demo_corpus, demo_service};
+use rpg_repager::{CorpusArtifacts, PipelineScratch};
+use rpg_repro::demo_artifacts;
+use rpg_service::{parallel, CorpusRegistry};
+use std::sync::Arc;
 use std::time::Duration;
 
-fn demo_requests(count: usize) -> Vec<(String, u16)> {
-    demo_corpus()
+fn demo_requests(artifacts: &CorpusArtifacts, count: usize) -> Vec<(String, u16)> {
+    artifacts
+        .corpus()
         .survey_bank()
         .iter()
         .take(count)
@@ -17,13 +21,13 @@ fn demo_requests(count: usize) -> Vec<(String, u16)> {
 
 #[test]
 fn shared_service_across_threads_matches_serial_runs() {
-    let service = demo_service();
-    let surveys = demo_requests(5);
+    let artifacts = demo_artifacts();
+    let surveys = demo_requests(&artifacts, 5);
     let serial: Vec<RepagerOutput> = surveys
         .iter()
         .map(|(query, year)| {
-            service
-                .generate_uncached(&PathRequest {
+            artifacts
+                .generate(&PathRequest {
                     max_year: Some(*year),
                     ..PathRequest::new(query, 25)
                 })
@@ -31,11 +35,11 @@ fn shared_service_across_threads_matches_serial_runs() {
         })
         .collect();
 
-    // N threads hammer the same service; every output must carry exactly the
-    // result of the serial reference run.
+    // N threads hammer the same artifacts; every output must carry exactly
+    // the result of the serial reference run.
     std::thread::scope(|scope| {
         for worker in 0..4 {
-            let service = service.clone();
+            let artifacts = Arc::clone(&artifacts);
             let surveys = &surveys;
             let serial = &serial;
             scope.spawn(move || {
@@ -44,7 +48,7 @@ fn shared_service_across_threads_matches_serial_runs() {
                 for i in 0..surveys.len() {
                     let pick = (i + worker) % surveys.len();
                     let (query, year) = &surveys[pick];
-                    let output = service
+                    let output = artifacts
                         .generate(&PathRequest {
                             max_year: Some(*year),
                             ..PathRequest::new(query, 25)
@@ -61,28 +65,9 @@ fn shared_service_across_threads_matches_serial_runs() {
 }
 
 #[test]
-fn service_and_facade_agree_on_the_demo_corpus() {
-    // The acceptance bar for the refactor: the owned serving layer and the
-    // borrowing facade are the same model.
-    let corpus = demo_corpus();
-    let facade = RePaGer::build(&corpus).unwrap();
-    let service = demo_service();
-    for (query, year) in demo_requests(5) {
-        let request = PathRequest {
-            max_year: Some(year),
-            ..PathRequest::new(&query, 30)
-        };
-        let via_facade = facade.generate(&request).unwrap();
-        let via_service = service.generate(&request).unwrap();
-        assert_eq!(via_facade.reading_list, via_service.reading_list);
-        assert_eq!(via_facade.path.order, via_service.path.order);
-    }
-}
-
-#[test]
 fn batch_over_survey_queries_matches_the_serial_loop() {
-    let service = demo_service();
-    let surveys = demo_requests(8);
+    let artifacts = demo_artifacts();
+    let surveys = demo_requests(&artifacts, 8);
     let requests: Vec<PathRequest<'_>> = surveys
         .iter()
         .map(|(query, year)| PathRequest {
@@ -92,9 +77,12 @@ fn batch_over_survey_queries_matches_the_serial_loop() {
         .collect();
     let serial: Vec<Vec<_>> = requests
         .iter()
-        .map(|r| service.generate_uncached(r).unwrap().reading_list)
+        .map(|r| artifacts.generate(r).unwrap().reading_list)
         .collect();
-    let batched = service.generate_batch(&requests);
+    // A batch is a fan-out whose workers each reuse one pipeline workspace.
+    let batched = parallel::fan_out(requests.len(), 4, PipelineScratch::new, |scratch, i| {
+        artifacts.generate_with_scratch(&requests[i], scratch)
+    });
     assert_eq!(batched.len(), serial.len());
     for (batch_result, serial_list) in batched.into_iter().zip(&serial) {
         assert_eq!(&batch_result.unwrap().reading_list, serial_list);
@@ -103,30 +91,33 @@ fn batch_over_survey_queries_matches_the_serial_loop() {
 
 #[test]
 fn repeated_identical_request_hits_the_cache_with_identical_list() {
-    let service = demo_service();
-    let (query, year) = demo_requests(1).remove(0);
+    let artifacts = demo_artifacts();
+    let (query, year) = demo_requests(&artifacts, 1).remove(0);
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("demo", artifacts);
     let request = PathRequest {
         max_year: Some(year),
         ..PathRequest::new(&query, 30)
     };
-    let first = service.generate(&request).unwrap();
-    let before = service.cache_stats();
-    let second = service.generate(&request).unwrap();
-    let after = service.cache_stats();
+    let first = registry.generate("demo", &request).unwrap();
+    let before = registry.cache_stats();
+    let second = registry.generate("demo", &request).unwrap();
+    let after = registry.cache_stats();
     assert_eq!(
         after.hits,
         before.hits + 1,
         "second request must be a cache hit"
     );
-    assert_eq!(first.reading_list, second.reading_list);
-    assert!(first.same_result(&second));
+    assert!(!first.cached && second.cached);
+    assert_eq!(first.output.reading_list, second.output.reading_list);
+    assert!(first.output.same_result(&second.output));
 }
 
 #[test]
 fn outputs_expose_all_five_stage_timings() {
-    let service = demo_service();
-    let (query, year) = demo_requests(1).remove(0);
-    let output = service
+    let artifacts = demo_artifacts();
+    let (query, year) = demo_requests(&artifacts, 1).remove(0);
+    let output = artifacts
         .generate(&PathRequest {
             max_year: Some(year),
             ..PathRequest::new(&query, 30)

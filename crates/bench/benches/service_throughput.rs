@@ -11,11 +11,11 @@
 //! `CorpusRegistry::generate` hit, the cache the server answers from.
 //!
 //! The loopback group drives the same requests end-to-end through the
-//! `rpg-server` HTTP front end (TCP connect + JSON encode/decode + worker
-//! pool), so the protocol overhead over in-process calls is directly
-//! observable — on the hit path (`http_cache_hit`) it is almost pure
-//! overhead, on the miss path (`http_uncached`) it amortises against the
-//! pipeline. The `http_cache_hit_persistent` variant reuses one keep-alive
+//! `rpg-server` HTTP front end (TCP connect + JSON encode/decode, plus the
+//! worker pool on a miss), so the protocol overhead over in-process calls
+//! is directly observable — on the hit path (`http_cache_hit`) it is
+//! almost pure overhead, on the miss path (`http_uncached`) it amortises
+//! against the pipeline. The `http_cache_hit_persistent` variant reuses one keep-alive
 //! connection for every request, isolating the per-exchange TCP setup cost
 //! that the close-per-exchange path (`http_cache_hit`) pays each time.
 

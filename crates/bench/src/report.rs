@@ -49,9 +49,9 @@
 //! queries, encoded by `serde_json::to_string` and by the verbatim
 //! pre-rewrite `serde_json::reference` encoder. The report carries the
 //! ratio as `json_encode_speedup_vs_reference` (gated like the seed pair),
-//! plus, ungated, `serve_hit_vs_healthz`: the loopback cache-hit exchange
-//! over the idle-connection healthz exchange on the same backend, the
-//! "HTTP hit within 2x of healthz" target of the serialize-once cache.
+//! plus `serve_hit_vs_healthz`: the loopback cache-hit exchange over the
+//! idle-connection healthz exchange on the same backend, which `--check`
+//! bounds by the "HTTP hit within 2x of healthz" target.
 
 use crate::micro_corpus;
 use rpg_corpus::{generate, Corpus, CorpusConfig};
@@ -801,9 +801,13 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, u64)>, String> {
     Ok(out)
 }
 
+/// The most a loopback cache hit may cost over a loopback healthz exchange
+/// on the same backend before [`check_regression`] fails.
+pub const MAX_HIT_VS_HEALTHZ: f64 = 2.0;
+
 /// The CI regression gate.
 ///
-/// Three checks, all against numbers measured *in this run* or in the
+/// Four checks, all against numbers measured *in this run* or in the
 /// committed baseline:
 ///
 /// 1. **same-host invariant** — the rewritten KMB kernel must not be slower
@@ -812,7 +816,10 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, u64)>, String> {
 /// 2. **seed and encoder invariants** — likewise, the term-at-a-time seed
 ///    ranking and the JSON encoder must each be faster than their
 ///    in-process reference.
-/// 3. **trajectory gate** — the KMB median must not exceed
+/// 3. **hit-versus-healthz bound** — a loopback cache-hit exchange may
+///    cost at most [`MAX_HIT_VS_HEALTHZ`] times a loopback healthz
+///    exchange on the same backend, a ratio host drift cancels out of.
+/// 4. **trajectory gate** — the KMB median must not exceed
 ///    `max_regression ×` the committed baseline's median.  Absolute
 ///    nanoseconds differ between hosts, which is exactly why the threshold
 ///    is a generous factor (2× by default) rather than a tight bound.
@@ -846,6 +853,15 @@ pub fn check_regression(
             failures.push(format!(
                 "json_encode is not faster than the in-process reference \
                  (speedup {speedup:.2}x <= 1.0x)"
+            ));
+        }
+    }
+
+    if let Some(ratio) = report.serve_hit_vs_healthz() {
+        if ratio > MAX_HIT_VS_HEALTHZ {
+            failures.push(format!(
+                "a loopback cache hit costs {ratio:.2}x a healthz exchange \
+                 (> {MAX_HIT_VS_HEALTHZ:.1}x)"
             ));
         }
     }
@@ -1011,12 +1027,39 @@ mod tests {
         let field = |name: &str| value.get(name).and_then(Value::as_f64).unwrap();
         assert!((field("json_encode_speedup_vs_reference") - 3.0).abs() < 1e-9);
         assert!((field("serve_hit_vs_healthz") - 1.5).abs() < 1e-9);
-        // Equal medians are not a win; the hit/healthz ratio is not gated.
+        // Equal medians are not a win.
         report.results[2].median_ns = 3_000;
-        report.results[4].median_ns = 200_000;
         let err = check_regression(&report, &baseline, 2.0).unwrap_err();
         assert!(err.contains("json_encode is not faster"), "{err}");
-        assert!(!err.contains("serve_"), "{err}");
+        assert!(!err.contains("cache hit"), "{err}");
+    }
+
+    #[test]
+    fn check_fails_when_a_cache_hit_costs_over_twice_a_healthz() {
+        let mut report = fake_report();
+        let bench = |name: &str, median_ns| BenchResult {
+            name: name.to_string(),
+            iters: 10,
+            median_ns,
+            min_ns: median_ns,
+            mean_ns: median_ns,
+            throughput_per_sec: 1e9 / median_ns as f64,
+        };
+        report
+            .results
+            .push(bench("serve_cache_hit_untraced", 40_000));
+        report
+            .results
+            .push(bench(&healthz_bench_name(IoBackendChoice::Auto), 20_000));
+        let baseline = vec![("steiner_tree_kmb".to_string(), 100_000u64)];
+        // Exactly 2x is within the bound.
+        check_regression(&report, &baseline, 2.0).unwrap();
+        report.results[2].median_ns = 40_001;
+        let err = check_regression(&report, &baseline, 2.0).unwrap_err();
+        assert!(err.contains("cache hit costs 2.00x a healthz"), "{err}");
+        // Without the healthz bench the ratio is unknown, and so ungated.
+        report.results.pop();
+        check_regression(&report, &baseline, 2.0).unwrap();
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!   fills its own sub-queue gets `429 Too Many Requests` while everyone
 //!   else keeps flowing, connection overflow at the acceptor and a full
 //!   global queue stay an immediate `503` with `Retry-After` ([`Server`]);
+//!   a request the result cache already answers skips the queue and is
+//!   served on its event loop;
 //! * **multi-tenant routing** — requests carry an optional `corpus` field
 //!   that routes to a named [`rpg_service::CorpusRegistry`] tenant; with
 //!   authentication on, the `Authorization: Bearer` key decides the tenant

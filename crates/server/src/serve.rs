@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! Idle → ReadingHead → ReadingBody → ComputeInFlight → Writing ─┐
-//!  ↑                        (inline routes skip the queue)      │
+//!  ↑              (inline routes and cache hits skip the queue) │
 //!  └──────────── keep-alive, budget remaining ──────────────────┤
 //!                                                           Draining → closed
 //! ```
@@ -28,12 +28,16 @@
 //! Idle and per-request read deadlines are enforced by the loop's poll
 //! timeout (no timer threads, no peek slices); cheap endpoints
 //! (`/v1/healthz`, `/v1/stats`, routing errors) are answered inline on the
-//! loop, while pipeline work is classified by tenant and offered to the
-//! weighted per-tenant [`FairQueue`], drained in deficit-round-robin order
-//! by a fixed pool of *compute workers*. A worker's reply travels back to
-//! the owning loop through its inbox plus a self-pipe wake, so the loop
-//! never blocks on compute and a connection awaiting its response costs no
-//! thread anywhere.
+//! loop, and so is every generate (or batch item) the result cache already
+//! holds: once the request passes all of its admission checks, the loop
+//! looks up its fingerprint and splices the cached bytes into the reply,
+//! without a queue slot, an in-flight charge or a worker wake-up. Pipeline
+//! work is classified by tenant and offered to the weighted per-tenant
+//! [`FairQueue`], drained in deficit-round-robin order by a fixed pool of
+//! *compute workers*. A worker's reply travels back to the owning loop
+//! through its inbox plus a self-pipe wake, so the loop never blocks on
+//! compute and a connection awaiting its response costs no thread
+//! anywhere.
 //!
 //! Overload degrades into fast, explicit rejections instead of growing
 //! buffers or latency — and it degrades per tenant: a connection stampede
@@ -63,7 +67,7 @@ use rpg_obs::trace::{
 use rpg_repager::system::RepagerError;
 use rpg_repager::TimingAggregate;
 use rpg_service::{
-    snapshot, valid_tenant_name, CorpusRegistry, Manifest, ManifestDiff, RegistryError,
+    snapshot, valid_tenant_name, CorpusRegistry, Manifest, ManifestDiff, RegistryError, Served,
     TenantConfig,
 };
 use serde::value::Value;
@@ -1802,13 +1806,9 @@ fn handle_request(
         route(request, shared, me, token, &cancel, &trace)
     }))
     .unwrap_or_else(|_| Routed::Inline(Response::json(500, error_body("internal error"))));
-    match routed {
-        Routed::Inline(response) => {
-            conn.trace = Some(conn_trace);
-            record_response(shared, response.status);
-            conn.start_response(response, keep_alive, now, shared);
-            Flow::Keep
-        }
+    let (response, tenant) = match routed {
+        Routed::Inline(response) => (response, None),
+        Routed::Hit(tenant, response) => (response, Some(tenant)),
         Routed::Queued(tenant) => {
             conn_trace.tenant = tenant;
             conn.trace = Some(conn_trace);
@@ -1825,15 +1825,23 @@ fn handle_request(
             conn.abandoned = false;
             conn.half_closed = false;
             conn.cancel = Some(cancel);
-            Flow::Keep
+            return Flow::Keep;
         }
-    }
+    };
+    conn_trace.tenant = tenant;
+    conn.trace = Some(conn_trace);
+    record_response(shared, response.status);
+    conn.start_response(response, keep_alive, now, shared);
+    Flow::Keep
 }
 
 /// Where a request went after routing.
 enum Routed {
     /// Answered on the event loop without touching the compute pool.
     Inline(Response),
+    /// A generate answered on the event loop from the result cache, billed
+    /// to the named tenant.
+    Hit(String, Response),
     /// Admitted to the fair queue under the named billing tenant (`None`
     /// for mixed-tenant batches); a compute worker will post the reply.
     Queued(Option<String>),
@@ -2069,9 +2077,10 @@ fn billing_tenant(corpus: Option<&str>, principal: &Option<Principal>, shared: &
     }
 }
 
-/// Validates a generate request on the loop (cheap), then queues it under
-/// its (authenticated) tenant. Request-level errors never consume queue
-/// budget.
+/// Validates a generate request on the loop (cheap), answers it from the
+/// result cache when it can, and otherwise queues it under its
+/// (authenticated) tenant. Request-level errors never consume queue
+/// budget, and neither do cache hits.
 fn admit_generate(
     request: &Request,
     principal: &Option<Principal>,
@@ -2114,17 +2123,20 @@ fn admit_generate(
         Ok(header_ms) => header_ms,
         Err(response) => return Routed::Inline(response),
     };
+    if let Some(body) = cached_body(shared, &tenant, &resolved, trace) {
+        return Routed::Hit(tenant, Response::json(200, body));
+    }
     let deadline = effective_deadline(header_ms, &tenant, shared);
     let work = Work::Generate(tenant.clone(), resolved);
     submit(shared, &tenant, work, me, token, cancel, deadline, trace)
 }
 
 /// Admits a batch *per item*: every item is validated on the loop, billed
-/// to its own (authenticated) tenant, and queued as its own fair-queue
-/// entry — so a mixed-corpus batch draws on each tenant's budget
-/// separately, and a tenant at capacity costs exactly its own items a
-/// per-item `429` inside the `200` batch response instead of sinking the
-/// whole batch.
+/// to its own (authenticated) tenant, answered from the result cache when
+/// it can be, and otherwise queued as its own fair-queue entry — so a
+/// mixed-corpus batch draws on each tenant's budget separately, and a
+/// tenant at capacity costs exactly its own missing items a per-item `429`
+/// inside the `200` batch response instead of sinking the whole batch.
 fn admit_batch(
     request: &Request,
     principal: &Option<Principal>,
@@ -2187,6 +2199,10 @@ fn admit_batch(
                 resolved.variant = variant;
             }
         }
+        if let Some(body) = cached_body(shared, &tenant, &resolved, trace) {
+            ticket.fill(body);
+            continue;
+        }
         let job = Job {
             work: Work::BatchItem {
                 ticket,
@@ -2225,9 +2241,10 @@ fn admit_batch(
         }
     }
     // The assembly owns the batch's reply; once the last item fills (which
-    // may already have happened, if everything was rejected inline) the
-    // assembled response travels the normal reply path. A mixed-corpus
-    // batch has no single billing tenant for the exemplar record.
+    // may already have happened, if every item was a hit or was rejected
+    // inline) the assembled response travels the normal reply path. A
+    // mixed-corpus batch has no single billing tenant for the exemplar
+    // record.
     Routed::Queued(None)
 }
 
@@ -2982,9 +2999,8 @@ fn registry_error(e: RegistryError) -> ApiError {
 
 /// Runs an already-validated request against its corpus, shedding its
 /// remaining pipeline stages if `deadline` passes mid-compute, and returns
-/// the encoded generate body. The result's tail is encoded once per cache
-/// entry: a miss fills the slot it just inserted, and every later hit
-/// splices the stored bytes behind its own head.
+/// the encoded generate body. A hit here is a miss on the loop that a
+/// racing identical request filled in the meantime.
 fn serve_resolved(
     corpus: &str,
     resolved: &ResolvedRequest,
@@ -3014,10 +3030,46 @@ fn serve_resolved(
             .unwrap()
             .record(&served.output.timings);
     }
+    Ok(generate_body(corpus, &served))
+}
+
+/// The generate body of a served result. The result's tail is encoded
+/// once per cache entry: a miss fills the slot it just inserted, and every
+/// later hit splices the stored bytes behind its own head.
+fn generate_body(corpus: &str, served: &Served) -> String {
     let tail = served
         .encoded
         .get_or_init(|| encode_result_tail(&served.output));
-    Ok(splice_generate_body(corpus, served.cached, tail))
+    splice_generate_body(corpus, served.cached, tail)
+}
+
+/// Answers a validated request from the result cache on the event loop:
+/// the generate body of a hit, or `None` on a miss, which then queues
+/// (its worker's run counts the miss). A hit is billed like queued work —
+/// a tenant latency sample and a root-level `cache_lookup` span covering
+/// lookup and splice — but takes no queue slot or in-flight charge, so it
+/// is never throttled, refused or shed: a cache hit is free and is served
+/// even past its deadline.
+fn cached_body(
+    shared: &Shared,
+    tenant: &str,
+    resolved: &ResolvedRequest,
+    trace: &RequestTrace,
+) -> Option<String> {
+    let started = Instant::now();
+    let served = shared
+        .registry
+        .lookup(tenant, &resolved.as_path_request())?;
+    let body = generate_body(tenant, &served);
+    tenant_metrics(shared, tenant)
+        .latency
+        .record(started.elapsed());
+    if let Some(recorder) = trace.recorder.as_ref() {
+        if let Ok(mut rec) = recorder.lock() {
+            rec.record(None, "cache_lookup", started);
+        }
+    }
+    Some(body)
 }
 
 /// `GET /v1/corpora`: the control-plane listing — epoch, corpus spec (when

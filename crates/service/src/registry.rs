@@ -685,6 +685,27 @@ impl CorpusRegistry {
         self.generate_observed(corpus, request, deadline, None)
     }
 
+    /// Answers a request from the shared cache alone, without running the
+    /// pipeline: `Some` on a hit, which counts one cache hit; `None` on a
+    /// miss or an unknown corpus, which moves no counter (the run that
+    /// answers the miss counts it). This is the registry's one hit path —
+    /// [`CorpusRegistry::generate_observed`] tries it first, and a front
+    /// end may call it on its own to answer hits without queueing them.
+    pub fn lookup(&self, corpus: &str, request: &PathRequest<'_>) -> Option<Served> {
+        let epoch = self.tenants.read().unwrap().get(corpus)?.epoch;
+        let key = TenantKey {
+            corpus: corpus.to_string(),
+            fingerprint: RequestFingerprint::of(request).with_epoch(epoch),
+        };
+        let hit = self.cache.lock().unwrap().lru.get(&key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Served {
+            output: hit.output,
+            cached: true,
+            encoded: hit.encoded,
+        })
+    }
+
     /// As [`CorpusRegistry::generate_with_deadline`], additionally arming
     /// the pipeline's span recorder: a fresh run records one span per
     /// stage into `trace`, a cache hit records a single `cache_hit` span.
@@ -696,6 +717,12 @@ impl CorpusRegistry {
         trace: Option<rpg_obs::trace::StageTrace>,
     ) -> Result<Served, RegistryError> {
         let lookup_started = std::time::Instant::now();
+        if let Some(hit) = self.lookup(corpus, request) {
+            if let Some(trace) = &trace {
+                trace.record("cache_hit", lookup_started);
+            }
+            return Ok(hit);
+        }
         let (artifacts, epoch) = {
             let tenants = self.tenants.read().unwrap();
             let tenant = tenants
@@ -707,17 +734,6 @@ impl CorpusRegistry {
             corpus: corpus.to_string(),
             fingerprint: RequestFingerprint::of(request).with_epoch(epoch),
         };
-        if let Some(hit) = self.cache.lock().unwrap().lru.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(trace) = &trace {
-                trace.record("cache_hit", lookup_started);
-            }
-            return Ok(Served {
-                output: hit.output,
-                cached: true,
-                encoded: hit.encoded,
-            });
-        }
         let output = with_thread_scratch(|scratch| {
             scratch.set_deadline(deadline);
             scratch.set_trace(trace);
@@ -874,6 +890,84 @@ mod tests {
             .generate_with_deadline("alpha", &request, Some(std::time::Instant::now()))
             .unwrap();
         assert!(served.cached, "a hit costs no compute, so nothing to shed");
+    }
+
+    #[test]
+    fn lookup_on_a_miss_moves_no_counter() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 20)
+        };
+        assert!(registry.lookup("alpha", &request).is_none());
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        // The run that answers the miss is what counts it.
+        assert!(!registry.generate("alpha", &request).unwrap().cached);
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_lookup_hit_counts_once_and_so_does_a_generate_hit() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 20)
+        };
+        let fresh = registry.generate("alpha", &request).unwrap();
+        let hit = registry.lookup("alpha", &request).unwrap();
+        assert!(hit.cached);
+        assert!(Arc::ptr_eq(&hit.output, &fresh.output));
+        assert!(Arc::ptr_eq(&hit.encoded, &fresh.encoded));
+        assert_eq!(registry.cache_stats().hits, 1);
+        // `generate_observed` answers its hit through `lookup`: one more
+        // hit, not two, and a single `cache_hit` span.
+        let recorder = rpg_obs::trace::SharedRecorder::default();
+        let trace = rpg_obs::trace::StageTrace {
+            recorder: recorder.clone(),
+            parent: None,
+        };
+        let served = registry
+            .generate_observed("alpha", &request, None, Some(trace))
+            .unwrap();
+        assert!(served.cached);
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        let spans = recorder.lock().unwrap().spans().to_vec();
+        let names: Vec<&str> = spans.iter().map(|span| span.name).collect();
+        assert_eq!(names, ["cache_hit"]);
+    }
+
+    #[test]
+    fn lookup_misses_under_the_epoch_a_refresh_in_place_bumped() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 20)
+        };
+        registry.generate("alpha", &request).unwrap();
+        assert!(registry.lookup("alpha", &request).is_some());
+        registry.refresh_in_place("alpha").unwrap();
+        assert!(registry.lookup("alpha", &request).is_none());
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn lookup_of_an_unknown_corpus_is_none() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 20)
+        };
+        registry.generate("alpha", &request).unwrap();
+        assert!(registry.lookup("ghost", &request).is_none());
+        assert_eq!(registry.cache_stats().hits, 0);
     }
 
     #[test]

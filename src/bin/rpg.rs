@@ -176,7 +176,9 @@ fn usage() -> String {
         "                       latency on an idle in-process server vs under a noisy",
         "                       stampede (load_quiet_generate[_stampede] in the report)",
         "      --check <FILE>   compare against a committed baseline report and exit",
-        "                       nonzero if the KMB kernel regressed",
+        "                       nonzero if the KMB kernel regressed, a rewrite is not",
+        "                       faster than its reference, or a loopback cache hit",
+        "                       costs over 2x a healthz exchange",
         "      --max-regression <X>          allowed slowdown factor vs the baseline",
         "                                    median before --check fails (default 2.0)",
     ]

@@ -21,10 +21,11 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
+use rpg_repager::system::RepagerOutput;
 use rpg_repro::demo_corpus;
 use rpg_server::client::{self, ClientResponse};
-use rpg_server::{IoBackendChoice, Server, ServerConfig, StatsSnapshot};
-use rpg_service::{CorpusRegistry, Manifest};
+use rpg_server::{api, IoBackendChoice, Server, ServerConfig, StatsSnapshot};
+use rpg_service::{CorpusRegistry, Manifest, Served};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,6 +86,22 @@ pub fn demo_queries(count: usize) -> Vec<(String, u16)> {
 /// The JSON body of a `/v1/generate` request.
 pub fn generate_body(query: &str, year: u16, top_k: usize) -> String {
     format!(r#"{{"query": {query:?}, "max_year": {year}, "top_k": {top_k}}}"#)
+}
+
+/// The reference encoding of a generate body: the `Value` tree the server
+/// used to build for every response, serialized.
+pub fn reference_body(corpus: &str, output: &RepagerOutput, cached: bool) -> String {
+    serde_json::to_string(&api::generate_response_value(corpus, output, cached)).unwrap()
+}
+
+/// The registry's current answer for a request body, looked up in-process
+/// (after the server populated it, a hit on the very entry it served).
+pub fn served_in_process(registry: &CorpusRegistry, tenant: &str, body: &str) -> Served {
+    let dto: api::GenerateRequest = serde_json::from_str(body).unwrap();
+    let resolved = api::ResolvedRequest::resolve(&dto).unwrap();
+    registry
+        .generate(tenant, &resolved.as_path_request())
+        .unwrap()
 }
 
 /// A running server plus the counter baseline its readiness probe left

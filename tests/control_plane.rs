@@ -10,11 +10,11 @@
 mod common;
 
 use common::{
-    demo_manifest_json, demo_registry_without_cache, get_with_key, post_json_with_key,
-    request_with_key, spawn_manifest_server, spawn_with, tenant_query, wait_until, TestServer,
-    ADMIN_KEY, ALPHA_KEY, BETA_KEY,
+    demo_manifest_json, demo_queries, demo_registry, demo_registry_without_cache, get_with_key,
+    post_json_with_key, reference_body, request_with_key, served_in_process, spawn_manifest_server,
+    spawn_with, tenant_query, wait_until, TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
-use rpg_server::client;
+use rpg_server::{api, client};
 use rpg_service::{CorpusRegistry, Manifest};
 use serde_json::Value;
 use std::io::Write;
@@ -1086,4 +1086,164 @@ fn reload_without_a_manifest_is_a_409() {
     });
     let response = client::request(server.addr(), "POST", "/v1/admin/reload", None).unwrap();
     assert_eq!(response.status, 409);
+}
+
+/// Plugs the single compute worker of `server` with a held `tenant` miss
+/// and returns the client thread awaiting it. Requires a server with one
+/// worker that has completed no request yet (see [`wait_worker_busy`]).
+fn hold_the_worker(
+    server: &TestServer,
+    query: &str,
+    tenant: &str,
+    key: Option<&'static str>,
+) -> std::thread::JoinHandle<()> {
+    server.compute_hold().hold();
+    let addr = server.addr();
+    let body = plug_body(query, tenant);
+    let plug = std::thread::spawn(move || {
+        let response = request_with_key(addr, "POST", "/v1/generate", Some(&body), key).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    });
+    wait_worker_busy(server, tenant);
+    plug
+}
+
+#[test]
+fn cache_hits_are_answered_while_every_worker_is_held() {
+    let registry = demo_registry();
+    let server = spawn_with(registry.clone(), |config| {
+        config.workers = 1;
+    });
+    let addr = server.addr();
+    let queries = demo_queries(3);
+    let body = |q: usize| gen_body(&queries[q].0, queries[q].1, None);
+    // Entries inserted in-process, outside the server: the loop encodes
+    // each one's tail on its first hit.
+    let cached: Vec<_> = (0..2)
+        .map(|q| served_in_process(&registry, "default", &body(q)))
+        .collect();
+    let plug = hold_the_worker(&server, &queries[2].0, "default", None);
+    // The worker parks after the plug's run, which counts the third miss.
+    wait_until("the plug never ran", || registry.cache_stats().misses == 3);
+
+    // A cached generate never waits for the held worker.
+    let hit = client::post_json(addr, "/v1/generate", &body(0)).unwrap();
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(hit.body, reference_body("default", &cached[0].output, true));
+
+    // Neither does an all-hit batch.
+    let batch = format!(r#"{{"requests": [{}, {}]}}"#, body(0), body(1));
+    let response = client::post_json(addr, "/v1/batch", &batch).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let expected = |items: Vec<Value>| {
+        serde_json::to_string(&Value::Object(vec![(
+            "results".to_string(),
+            Value::Array(items),
+        )]))
+        .unwrap()
+    };
+    assert_eq!(
+        response.body,
+        expected(
+            cached
+                .iter()
+                .map(|served| api::generate_response_value("default", &served.output, true))
+                .collect()
+        )
+    );
+    assert_eq!(server.request_depth(), 0, "no hit was queued");
+
+    // A mixed batch fills its hit on the loop; its miss waits for the
+    // worker.
+    let hits_before = registry.cache_stats().hits;
+    let mixed = format!(r#"{{"requests": [{}, {}]}}"#, body(0), body(2));
+    let mixed = std::thread::spawn(move || client::post_json(addr, "/v1/batch", &mixed));
+    wait_until("the mixed batch's miss never queued", || {
+        server.request_depth() == 1
+    });
+    let during = registry.cache_stats();
+    assert_eq!(
+        (during.hits, during.misses),
+        (hits_before + 1, 3),
+        "the hit item was served at admission and the miss has not run"
+    );
+    assert!(!mixed.is_finished(), "the batch waits for its miss");
+    server.compute_hold().release();
+    plug.join().unwrap();
+    let response = mixed.join().unwrap().unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let missed = served_in_process(&registry, "default", &body(2));
+    assert_eq!(
+        response.body,
+        expected(vec![
+            api::generate_response_value("default", &cached[0].output, true),
+            api::generate_response_value("default", &missed.output, false),
+        ])
+    );
+    let stats = server.stats();
+    assert_eq!(stats.pipeline.requests, 2, "only the plug and the miss ran");
+    assert_eq!((stats.throttled, stats.rejected), (0, 0));
+}
+
+#[test]
+fn a_tenant_with_a_full_lane_still_gets_its_hits_and_nothing_else() {
+    let server = spawn_manifest_server(|config| {
+        config.workers = 1;
+        config.tenant_queue_capacity = 1;
+        config.queue_capacity = 32;
+    });
+    let addr = server.addr();
+    let (query, year) = tenant_query(&server, "alpha");
+    let cached_body = gen_body(&query, year, Some("alpha"));
+    let cached = served_in_process(server.registry(), "alpha", &cached_body);
+    let plug = hold_the_worker(&server, &query, "alpha", Some(ALPHA_KEY));
+
+    // Fill alpha's one-slot lane with a held miss; the next miss is a 429.
+    let queued = {
+        let body = gen_body(&query, year - 1, Some("alpha"));
+        std::thread::spawn(move || post_json_with_key(addr, "/v1/generate", &body, ALPHA_KEY))
+    };
+    wait_until("the lane never filled", || server.request_depth() == 1);
+    let throttled = post_json_with_key(
+        addr,
+        "/v1/generate",
+        &gen_body(&query, year - 2, Some("alpha")),
+        ALPHA_KEY,
+    )
+    .unwrap();
+    assert_eq!(throttled.status, 429, "{}", throttled.body);
+
+    // The lane is full, but a hit takes no slot in it.
+    let hit = post_json_with_key(addr, "/v1/generate", &cached_body, ALPHA_KEY).unwrap();
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(hit.body, reference_body("alpha", &cached.output, true));
+
+    // Every check before the lookup still runs: another tenant's key gets
+    // a 403 for alpha's cached entry, and a zero deadline is a 400.
+    let forbidden = post_json_with_key(addr, "/v1/generate", &cached_body, BETA_KEY).unwrap();
+    assert_eq!(forbidden.status, 403, "{}", forbidden.body);
+    let (name, value) = client::bearer(ALPHA_KEY);
+    let zero_deadline = client::request_with(
+        addr,
+        "POST",
+        "/v1/generate",
+        Some(&cached_body),
+        &[(&name, &value), ("x-rpg-deadline-ms", "0")],
+    )
+    .unwrap();
+    assert_eq!(zero_deadline.status, 400, "{}", zero_deadline.body);
+
+    server.compute_hold().release();
+    plug.join().unwrap();
+    let queued = queued.join().unwrap().unwrap();
+    assert_eq!(queued.status, 200, "{}", queued.body);
+    let stats = server.stats();
+    assert_eq!(
+        stats.throttled, 1,
+        "only the overflowing miss was throttled"
+    );
+    assert_eq!(
+        stats.pipeline.requests, 2,
+        "the hit never reached the pipeline"
+    );
 }

@@ -349,3 +349,100 @@ fn tenant_trace_threshold_is_patchable_at_runtime() {
         debug.body
     );
 }
+
+/// The exemplar the ring holds for the given trace ID, if any.
+fn exemplar(server: std::net::SocketAddr, key: Option<&str>, trace_id: &str) -> Option<Value> {
+    let debug = request_with_key(server, "GET", "/v1/debug/requests", None, key).unwrap();
+    assert_eq!(debug.status, 200, "{}", debug.body);
+    parse_json(&debug)
+        .get("requests")
+        .and_then(Value::as_array)
+        .expect("requests array")
+        .iter()
+        .find(|r| r.get("trace_id").and_then(Value::as_str) == Some(trace_id))
+        .cloned()
+}
+
+#[test]
+fn a_traced_cache_hit_is_answered_on_the_loop_and_counted_once() {
+    let server = spawn(demo_registry(), 2, 16);
+    let (query, year) = demo_queries(1).remove(0);
+    let body = generate_body(&query, year, 10);
+    let miss = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
+    assert_eq!(miss.status, 200, "{}", miss.body);
+    let hit = client::request_with(
+        server.addr(),
+        "POST",
+        "/v1/generate",
+        Some(&body),
+        &[("x-rpg-trace-id", TRACE_ID)],
+    )
+    .unwrap();
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert!(hit.body.contains(r#""cached":true"#), "{}", hit.body);
+
+    let record = exemplar(server.addr(), None, TRACE_ID)
+        .unwrap_or_else(|| panic!("trace {TRACE_ID} missing from the ring"));
+    assert_eq!(
+        record.get("tenant").and_then(Value::as_str),
+        Some("default")
+    );
+    let names: Vec<&str> = record
+        .get("spans")
+        .and_then(Value::as_array)
+        .expect("span tree")
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Value::as_str))
+        .collect();
+    assert_eq!(names, ["cache_lookup", "response_write"]);
+
+    // One hit per hit served, and the loop-side lookup that missed first
+    // counted no miss of its own: the worker's run counted it.
+    let stats = parse_json(&client::get(server.addr(), "/v1/stats").unwrap());
+    let cache = stats.get("cache").expect("cache section");
+    assert_eq!(cache.get("hits").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(cache.get("misses").and_then(Value::as_f64), Some(1.0));
+    let exposition = client::get(server.addr(), "/metrics").unwrap().body;
+    assert_eq!(sample_value(&exposition, "rpg_cache_hits_total"), Some(1.0));
+    assert_eq!(
+        sample_value(&exposition, "rpg_cache_misses_total"),
+        Some(1.0)
+    );
+    // The hit left its tenant latency sample like queued work does.
+    let row = stats
+        .get("tenants")
+        .and_then(|t| t.get("default"))
+        .expect("default tenant metrics row");
+    assert_eq!(
+        row.get("latency")
+            .and_then(|l| l.get("count"))
+            .and_then(Value::as_f64),
+        Some(2.0)
+    );
+}
+
+#[test]
+fn a_cache_hit_honours_its_tenants_trace_threshold() {
+    let server = spawn_manifest_server(|_| {});
+    let (query, year) = tenant_query(&server, "alpha");
+    let body = generate_body(&query, year, 10);
+    let miss = post_json_with_key(server.addr(), "/v1/generate", &body, ALPHA_KEY).unwrap();
+    assert_eq!(miss.status, 200, "{}", miss.body);
+    let response = request_with_key(
+        server.addr(),
+        "PATCH",
+        "/v1/admin/tenants/alpha",
+        Some(r#"{"trace_slow_ms": 60000}"#),
+        Some(ADMIN_KEY),
+    )
+    .unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let hit = post_json_with_key(server.addr(), "/v1/generate", &body, ALPHA_KEY).unwrap();
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert!(hit.body.contains(r#""cached":true"#), "{}", hit.body);
+    let trace_id = hit.header("x-rpg-trace-id").unwrap();
+    assert!(
+        exemplar(server.addr(), Some(ADMIN_KEY), trace_id).is_none(),
+        "a hit under alpha's 60 s threshold retained an exemplar"
+    );
+}

@@ -13,9 +13,12 @@
 
 mod common;
 
-use common::{demo_queries, demo_registry, generate_body, spawn, spawn_with};
+use common::{
+    demo_queries, demo_registry, generate_body, reference_body, served_in_process, spawn,
+    spawn_with,
+};
 use rpg_corpus::{generate, CorpusConfig};
-use rpg_repager::system::{PathRequest, RepagerOutput};
+use rpg_repager::system::PathRequest;
 use rpg_repager::CorpusArtifacts;
 use rpg_repro::demo_corpus;
 use rpg_server::{api, client};
@@ -415,26 +418,10 @@ fn refresh_endpoint_evicts_exactly_that_tenants_cached_results() {
     assert_eq!(wrong_method.header("allow"), Some("POST"));
 }
 
-/// The reference encoding of a generate body: the `Value` tree the server
-/// used to build for every response, serialized.
-fn reference_body(corpus: &str, output: &RepagerOutput, cached: bool) -> String {
-    serde_json::to_string(&api::generate_response_value(corpus, output, cached)).unwrap()
-}
-
 /// A `/v1/generate` body addressed to `tenant` (escaped as JSON).
 fn tenant_body(tenant: &str, query: &str, year: u16, top_k: usize) -> String {
     let tenant = serde_json::to_string(&tenant).unwrap();
     format!(r#"{{"query": {query:?}, "max_year": {year}, "top_k": {top_k}, "corpus": {tenant}}}"#)
-}
-
-/// The registry's current answer for a request body, looked up in-process
-/// (after the server populated it, a hit on the very entry it served).
-fn served_in_process(registry: &CorpusRegistry, tenant: &str, body: &str) -> rpg_service::Served {
-    let dto: api::GenerateRequest = serde_json::from_str(body).unwrap();
-    let resolved = api::ResolvedRequest::resolve(&dto).unwrap();
-    registry
-        .generate(tenant, &resolved.as_path_request())
-        .unwrap()
 }
 
 /// Tenant names the manifest validation admits that need JSON escaping.
@@ -1082,8 +1069,15 @@ fn a_panic_past_the_reply_keeps_the_worker_and_releases_the_charge() {
     }
 
     // ...and the sole worker is still alive to serve the next request
-    // through the cap the leak would have pinned shut.
-    let second = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
+    // through the cap the leak would have pinned shut. A repeat of the
+    // first body would be a cache hit answered on the event loop, so the
+    // second request asks for a different `top_k` to reach the worker.
+    let second = client::post_json(
+        server.addr(),
+        "/v1/generate",
+        &generate_body(&query, year, 11),
+    )
+    .unwrap();
     assert_eq!(second.status, 200, "{}", second.body);
 
     // The sole worker logged the panic before it took the second job.

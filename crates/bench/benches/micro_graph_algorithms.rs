@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rpg_bench::{bench_threads, micro_corpus, BENCH_SURVEY_LIMIT};
 use rpg_eval::experiments::ExperimentContext;
 use rpg_graph::pagerank::pagerank_default;
-use rpg_graph::steiner::{reference::steiner_tree_reference, steiner_tree, SteinerScratch};
+use rpg_graph::steiner::kmb::steiner_tree_kmb_with;
+use rpg_graph::steiner::{reference::steiner_tree_reference, steiner_tree_with, SteinerScratch};
 use rpg_graph::{dijkstra, mst};
 use rpg_repager::seeds::{reallocate, TerminalSelection};
 use rpg_repager::subgraph::SubGraph;
@@ -55,27 +56,33 @@ fn micro(c: &mut Criterion) {
         local_terminals.len()
     );
 
-    // Cold scratch: every iteration pays the kernel's buffer growth, the
-    // configuration a one-shot caller sees.
+    // The KMB kernel Mehlhorn's replaced, on a cold scratch: every
+    // iteration pays the kernel's buffer growth, the configuration a
+    // one-shot caller sees.
     group.bench_function("steiner_tree_kmb", |b| {
         b.iter(|| {
-            steiner_tree(&subgraph.weighted, &local_terminals)
+            let mut scratch = SteinerScratch::new();
+            steiner_tree_kmb_with(&subgraph.weighted, &local_terminals, &mut scratch)
                 .unwrap()
                 .node_count()
         })
     });
-    // Warm reused scratch: the serving layer's steady state, where the
-    // whole kernel runs without heap allocation.
+    // Warm reused scratch: the steady state, where the whole kernel runs
+    // without heap allocation — KMB, then Mehlhorn's kernel, which the
+    // serving layer runs.
     let mut scratch = SteinerScratch::new();
     group.bench_function("steiner_tree_kmb_warm_scratch", |b| {
         b.iter(|| {
-            rpg_graph::steiner::steiner_tree_with(
-                &subgraph.weighted,
-                &local_terminals,
-                &mut scratch,
-            )
-            .unwrap()
-            .node_count()
+            steiner_tree_kmb_with(&subgraph.weighted, &local_terminals, &mut scratch)
+                .unwrap()
+                .node_count()
+        })
+    });
+    group.bench_function("steiner_tree_mehlhorn_warm_scratch", |b| {
+        b.iter(|| {
+            steiner_tree_with(&subgraph.weighted, &local_terminals, &mut scratch)
+                .unwrap()
+                .node_count()
         })
     });
     // The verbatim pre-rewrite kernel, the "before" of the BENCH_*.json

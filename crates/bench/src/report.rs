@@ -52,11 +52,21 @@
 //! plus `serve_hit_vs_healthz`: the loopback cache-hit exchange over the
 //! idle-connection healthz exchange on the same backend, which `--check`
 //! bounds by the "HTTP hit within 2x of healthz" target.
+//!
+//! Mehlhorn's Steiner kernel pins its win against the KMB kernel it
+//! replaced: `steiner_tree_mehlhorn` times [`steiner_tree_with`] on the
+//! same instance and warm-scratch setup as `steiner_tree_kmb`, which keeps
+//! timing the verbatim KMB kernel
+//! ([`rpg_graph::steiner::kmb::steiner_tree_kmb_with`]) so the
+//! `kmb_speedup_vs_reference` ratio and the trajectory gate measure the same
+//! code as before.  The report carries `mehlhorn_speedup_vs_kmb`, and
+//! `--check` fails when Mehlhorn is not faster.
 
 use crate::micro_corpus;
 use rpg_corpus::{generate, Corpus, CorpusConfig};
 use rpg_engines::{EngineIndex, Query, ScholarEngine};
 use rpg_graph::dijkstra::{self, DijkstraScratch};
+use rpg_graph::steiner::kmb::steiner_tree_kmb_with;
 use rpg_graph::steiner::reference::steiner_tree_reference;
 use rpg_graph::steiner::{steiner_tree_with, SteinerScratch};
 use rpg_graph::{mst, NodeId, WeightedGraph};
@@ -156,6 +166,14 @@ impl BenchReport {
         (new > 0.0).then(|| old / new)
     }
 
+    /// The KMB-over-Mehlhorn speedup of the Steiner kernel
+    /// (`kmb_median / mehlhorn_median`), when both benches ran.
+    pub fn mehlhorn_speedup(&self) -> Option<f64> {
+        let new = self.result("steiner_tree_mehlhorn")?.median_ns as f64;
+        let old = self.result("steiner_tree_kmb")?.median_ns as f64;
+        (new > 0.0).then(|| old / new)
+    }
+
     /// The reference-vs-rewrite speedup of seed ranking
     /// (`reference_median / taat_median`), when both benches ran.
     pub fn seed_speedup(&self) -> Option<f64> {
@@ -238,6 +256,12 @@ impl BenchReport {
         if let Some(speedup) = self.kmb_speedup() {
             fields.push((
                 "kmb_speedup_vs_reference".to_string(),
+                Value::Number(speedup),
+            ));
+        }
+        if let Some(speedup) = self.mehlhorn_speedup() {
+            fields.push((
+                "mehlhorn_speedup_vs_kmb".to_string(),
                 Value::Number(speedup),
             ));
         }
@@ -364,11 +388,25 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
 
     let mut results = Vec::new();
 
-    // The rewritten allocation-lean kernel with a warm, reused scratch —
-    // the configuration the serving layer actually runs.
+    // The allocation-lean KMB kernel with a warm, reused scratch — the
+    // configuration the serving layer ran before Mehlhorn's kernel.
     let mut scratch = SteinerScratch::new();
     results.push(run_bench(
         "steiner_tree_kmb",
+        iters.kernel,
+        iters.warmup,
+        || {
+            steiner_tree_kmb_with(graph, terminals, &mut scratch)
+                .expect("steiner solves")
+                .node_count()
+        },
+    ));
+
+    // Mehlhorn's kernel, the one the serving layer runs, with the same warm
+    // scratch setup.
+    let mut scratch = SteinerScratch::new();
+    results.push(run_bench(
+        "steiner_tree_mehlhorn",
         iters.kernel,
         iters.warmup,
         || {
@@ -813,9 +851,10 @@ pub const MAX_HIT_VS_HEALTHZ: f64 = 2.0;
 /// 1. **same-host invariant** — the rewritten KMB kernel must not be slower
 ///    than the pre-rewrite reference measured in the same process.  This is
 ///    completely host-independent and is the teeth of the ≥ speedup claim.
-/// 2. **seed and encoder invariants** — likewise, the term-at-a-time seed
-///    ranking and the JSON encoder must each be faster than their
-///    in-process reference.
+/// 2. **Mehlhorn, seed and encoder invariants** — likewise, Mehlhorn's
+///    Steiner kernel must be faster than the KMB kernel, and the
+///    term-at-a-time seed ranking and the JSON encoder must each be faster
+///    than their in-process reference.
 /// 3. **hit-versus-healthz bound** — a loopback cache-hit exchange may
 ///    cost at most [`MAX_HIT_VS_HEALTHZ`] times a loopback healthz
 ///    exchange on the same backend, a ratio host drift cancels out of.
@@ -835,6 +874,15 @@ pub fn check_regression(
             failures.push(format!(
                 "steiner_tree_kmb is slower than the in-process reference \
                  (speedup {speedup:.2}x < 1.0x)"
+            ));
+        }
+    }
+
+    if let Some(speedup) = report.mehlhorn_speedup() {
+        if speedup <= 1.0 {
+            failures.push(format!(
+                "steiner_tree_mehlhorn is not faster than steiner_tree_kmb \
+                 (speedup {speedup:.2}x <= 1.0x)"
             ));
         }
     }
@@ -1003,6 +1051,38 @@ mod tests {
     }
 
     #[test]
+    fn check_fails_when_mehlhorn_is_not_faster_than_kmb() {
+        let mut report = fake_report();
+        report.results.push(BenchResult {
+            name: "steiner_tree_mehlhorn".to_string(),
+            iters: 10,
+            median_ns: 250,
+            min_ns: 240,
+            mean_ns: 260,
+            throughput_per_sec: 4e6,
+        });
+        let baseline = vec![("steiner_tree_kmb".to_string(), 100_000u64)];
+        check_regression(&report, &baseline, 2.0).unwrap();
+        assert!((report.mehlhorn_speedup().unwrap() - 4.0).abs() < 1e-9);
+        let value = report.to_value();
+        let field = value
+            .get("mehlhorn_speedup_vs_kmb")
+            .and_then(Value::as_f64)
+            .unwrap();
+        assert!((field - 4.0).abs() < 1e-9);
+        // Equal medians are not a win.
+        report.results[2].median_ns = 1_000;
+        let err = check_regression(&report, &baseline, 2.0).unwrap_err();
+        assert!(
+            err.contains("steiner_tree_mehlhorn is not faster than steiner_tree_kmb"),
+            "{err}"
+        );
+        // Without the Mehlhorn bench the ratio is unknown, and so ungated.
+        report.results.pop();
+        check_regression(&report, &baseline, 2.0).unwrap();
+    }
+
+    #[test]
     fn check_fails_when_the_encoder_is_not_faster_than_reference() {
         let mut report = fake_report();
         let bench = |name: &str, median_ns| BenchResult {
@@ -1099,6 +1179,7 @@ mod tests {
         let report = run_report("unit", iters);
         let mut expected = vec![
             "steiner_tree_kmb".to_string(),
+            "steiner_tree_mehlhorn".to_string(),
             "steiner_tree_kmb_reference".to_string(),
             "dijkstra_single_source".to_string(),
             "dijkstra_to_targets".to_string(),
@@ -1119,6 +1200,7 @@ mod tests {
             assert!(report.result(name).is_some(), "bench {name} missing");
         }
         assert!(report.kmb_speedup().is_some());
+        assert!(report.mehlhorn_speedup().is_some());
         assert!(report.seed_speedup().is_some());
         assert!(report.json_encode_speedup().is_some());
         assert!(report.serve_hit_vs_healthz().is_some());

@@ -5,7 +5,12 @@
 //! terminals, the cheapest path where the cost of a path includes both its
 //! edge costs and the node weights of the papers it passes through.  The
 //! paper defines a shortest path from `Pi` to `Pj` as one "whose distance,
-//! including node costs and edge weights, is minimal".
+//! including node costs and edge weights, is minimal".  The serving kernel
+//! ([`crate::steiner::steiner_tree_with`]) gets the closure's minimum
+//! spanning tree from one multi-source search of its own under the same
+//! convention; the single-source searches here serve the KMB oracle
+//! ([`crate::steiner::kmb`]), the pre-rewrite reference and plain
+//! shortest-path queries.
 //!
 //! The convention used here (and documented on [`path_cost`]) is:
 //!
@@ -70,11 +75,12 @@ impl PartialOrd for HeapEntry {
 /// A reusable Dijkstra workspace: the binary heap plus the per-node
 /// distance/predecessor/settled state.
 ///
-/// The KMB Steiner heuristic runs one single-source search per terminal over
-/// the same graph; allocating these vectors once per *graph* instead of once
-/// per *source* removes the dominant allocation cost of that loop. Staleness
-/// is tracked with per-slot generation stamps, so starting a new run is O(1)
-/// — no `fill` over the whole vector between sources.
+/// The KMB Steiner kernel ([`crate::steiner::kmb`]) runs one single-source
+/// search per terminal over the same graph; allocating these vectors once
+/// per *graph* instead of once per *source* removes the dominant allocation
+/// cost of that loop. Staleness is tracked with per-slot generation stamps,
+/// so starting a new run is O(1) — no `fill` over the whole vector between
+/// sources.
 ///
 /// A scratch is not tied to one graph: it grows to the largest node count it
 /// has seen and can be reused across graphs of different sizes.
@@ -252,10 +258,10 @@ pub fn single_source_into(
 /// [`single_source_into`] run would.  Distances of nodes that were not yet
 /// settled when the search stopped are left unspecified and must not be read.
 ///
-/// This is the workhorse of the KMB metric-closure step: the K terminals of
-/// a Steiner instance are typically clustered in a small region of the
-/// sub-graph, so stopping at the last settled terminal skips most of the
-/// graph.  If some target is unreachable the search degenerates to a full
+/// This is the workhorse of the KMB oracle's metric-closure step: the K
+/// terminals of a Steiner instance are typically clustered in a small region
+/// of the sub-graph, so stopping at the last settled terminal skips most of
+/// the graph.  If some target is unreachable the search degenerates to a full
 /// run and simply returns — callers detect disconnection from the distance
 /// array (`dist(target).is_infinite()`) without materializing any path.
 pub fn single_source_to_targets_into(
@@ -395,8 +401,8 @@ pub fn shortest_paths_to(
 }
 
 /// Like [`shortest_paths_to`], but reusing a caller-provided scratch so
-/// repeated runs over the same graph (one per KMB terminal) skip the per-run
-/// allocations.
+/// repeated runs over the same graph (one per terminal in the pre-rewrite
+/// KMB reference) skip the per-run allocations.
 pub fn shortest_paths_into(
     graph: &WeightedGraph,
     source: NodeId,

@@ -17,8 +17,9 @@
 //!   and the node weights of interior vertices.
 //! * [`mst`] — Kruskal minimum spanning trees with a union-find.
 //! * [`steiner`] — the Kou–Markowsky–Berman (KMB) heuristic generalised to
-//!   node-edge weighted graphs; this is the optimisation engine behind the
-//!   NEWST model (Algorithm 1 of the paper).
+//!   node-edge weighted graphs, computed with Mehlhorn's single-search
+//!   kernel; this is the optimisation engine behind the NEWST model
+//!   (Algorithm 1 of the paper).
 //! * [`components`] / [`topo`] — connectivity and ordering utilities used for
 //!   sub-graph sanity checks and reading-order assignment.
 //!

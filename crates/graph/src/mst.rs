@@ -1,7 +1,7 @@
 //! Minimum spanning trees and union-find.
 //!
-//! Steps 2 and 4 of the KMB heuristic (Algorithm 1 of the paper) each compute
-//! a minimum spanning tree: first of the terminals' complete distance graph,
+//! Steps 2 and 4 of the Steiner heuristic (Algorithm 1 of the paper) each
+//! compute a minimum spanning tree: first of the terminals' distance graph,
 //! then of the sub-graph obtained by expanding its edges back into shortest
 //! paths.  Kruskal's algorithm with a path-compressing union-find is used for
 //! both.
@@ -41,6 +41,11 @@ impl UnionFind {
         self.rank.clear();
         self.rank.resize(n, 0);
         self.components = n;
+    }
+
+    /// Number of elements the buffers hold without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.parent.capacity().min(self.rank.capacity())
     }
 
     /// Number of elements.
@@ -196,6 +201,102 @@ pub fn mst_of_subset(
     })
 }
 
+/// The reusable buffers of [`mst_of_subset_into`]: generation-stamped
+/// subset membership (with each member's dense slot), the induced edge
+/// list, and a union-find over the slots.
+#[derive(Debug, Default, Clone)]
+pub struct SubsetMstScratch {
+    slot: Vec<u32>,
+    stamp: Vec<u32>,
+    generation: u32,
+    edges: Vec<(f64, u32, u32)>,
+    uf: UnionFind,
+    grow_events: u64,
+}
+
+impl SubsetMstScratch {
+    /// Number of times a buffer had to grow (i.e. allocate) since the
+    /// scratch was created; flat across steady-state runs.
+    pub fn grow_events(&self) -> u64 {
+        self.grow_events
+    }
+}
+
+/// [`mst_of_subset`] over caller-provided buffers: appends the chosen edges
+/// of the induced sub-graph's minimum spanning forest to `out` (cleared
+/// first) and returns their total cost.
+///
+/// Edges are sorted by the same `(cost, a, b)` key and summed in the same
+/// order, so `out` equals [`SpanningForest::edge_pairs`] of
+/// [`mst_of_subset`] and the total is bit-identical to its
+/// `total_edge_cost`.  A warm scratch runs without heap allocation.
+pub fn mst_of_subset_into(
+    graph: &WeightedGraph,
+    nodes: &[NodeId],
+    scratch: &mut SubsetMstScratch,
+    out: &mut Vec<(NodeId, NodeId)>,
+) -> Result<f64, GraphError> {
+    for &n in nodes {
+        graph.check_node(n)?;
+    }
+    let n = graph.node_count();
+    if scratch.stamp.len() < n {
+        if scratch.stamp.capacity() < n {
+            scratch.grow_events += 1;
+        }
+        scratch.stamp.resize(n, 0);
+        scratch.slot.resize(n, 0);
+        // A subset of distinct nodes never needs more union-find slots.
+        scratch.uf.reset(n);
+    }
+    if scratch.generation == u32::MAX {
+        scratch.stamp.fill(0);
+        scratch.generation = 0;
+    }
+    scratch.generation += 1;
+    let gen = scratch.generation;
+    for (s, &v) in nodes.iter().enumerate() {
+        scratch.stamp[v.index()] = gen;
+        scratch.slot[v.index()] = s as u32;
+    }
+
+    let edge_capacity = scratch.edges.capacity();
+    scratch.edges.clear();
+    for &a in nodes {
+        for &(b, c) in graph.neighbors(a) {
+            if a < b && scratch.stamp[b.index()] == gen {
+                scratch.edges.push((c, a.0, b.0));
+            }
+        }
+    }
+    if scratch.edges.capacity() > edge_capacity {
+        scratch.grow_events += 1;
+    }
+    // A node listed twice contributes its edges twice; the duplicates sort
+    // next to each other and the second copy closes no new component.
+    scratch.edges.sort_unstable_by(|x, y| {
+        x.0.partial_cmp(&y.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(x.1.cmp(&y.1))
+            .then(x.2.cmp(&y.2))
+    });
+
+    if scratch.uf.capacity() < nodes.len() {
+        scratch.grow_events += 1;
+    }
+    scratch.uf.reset(nodes.len());
+    out.clear();
+    let mut total = 0.0;
+    for &(c, a, b) in &scratch.edges {
+        let (sa, sb) = (scratch.slot[a as usize], scratch.slot[b as usize]);
+        if scratch.uf.union(sa as usize, sb as usize) {
+            out.push((NodeId(a), NodeId(b)));
+            total += c;
+        }
+    }
+    Ok(total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +373,56 @@ mod tests {
     fn subset_mst_rejects_bad_nodes() {
         let g = square_with_diagonal();
         assert!(mst_of_subset(&g, &[NodeId(9)]).is_err());
+        let mut scratch = SubsetMstScratch::default();
+        assert!(mst_of_subset_into(&g, &[NodeId(9)], &mut scratch, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn subset_mst_into_matches_subset_mst() {
+        // Tied costs exercise the (cost, a, b) tie-break; the reused
+        // scratch must not leak one subset's membership into the next.
+        let mut g = WeightedGraph::with_zero_weights(7);
+        for (a, b, c) in [
+            (0, 1, 2.0),
+            (1, 2, 2.0),
+            (0, 2, 2.0),
+            (2, 3, 0.5),
+            (3, 4, 1.25),
+            (4, 5, 2.0),
+            (0, 5, 1.25),
+            (5, 6, 0.1),
+            (1, 6, 3.0),
+        ] {
+            g.add_edge(NodeId(a), NodeId(b), c).unwrap();
+        }
+        let mut scratch = SubsetMstScratch::default();
+        let mut out = Vec::new();
+        for subset in [
+            vec![0, 1, 2, 3, 4, 5, 6],
+            vec![6, 2, 0, 1],
+            vec![0, 3],
+            vec![4, 4, 5, 3],
+            vec![],
+        ] {
+            let nodes: Vec<NodeId> = subset.into_iter().map(NodeId).collect();
+            let want = mst_of_subset(&g, &nodes).unwrap();
+            let total = mst_of_subset_into(&g, &nodes, &mut scratch, &mut out).unwrap();
+            assert_eq!(out, want.edge_pairs(), "subset {nodes:?}");
+            assert_eq!(total.to_bits(), want.total_edge_cost.to_bits());
+        }
+        let warm = scratch.grow_events();
+        mst_of_subset_into(
+            &g,
+            &[NodeId(0), NodeId(1), NodeId(2)],
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(
+            scratch.grow_events(),
+            warm,
+            "a warm scratch does not allocate"
+        );
     }
 }
 

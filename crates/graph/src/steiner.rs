@@ -1,4 +1,5 @@
-//! Node-edge weighted Steiner trees via the Kou–Markowsky–Berman heuristic.
+//! Node-edge weighted Steiner trees via Mehlhorn's form of the
+//! Kou–Markowsky–Berman heuristic.
 //!
 //! This is the optimisation engine behind the paper's NEWST model
 //! (Section IV-B, Algorithm 1).  Given a connected, undirected graph with
@@ -27,33 +28,52 @@
 //! Step 5 is the standard final step of KMB; the paper's Algorithm 1 lists
 //! steps 1–4 and inherits the same approximation bound.
 //!
+//! # Mehlhorn's kernel
+//!
+//! [`steiner_tree_with`] computes steps 1–3 the way Mehlhorn ("A faster
+//! approximation algorithm for the Steiner problem in graphs", IPL 1988)
+//! does, with one shortest-path search instead of one per terminal:
+//!
+//! 1. **Voronoi regions.** One multi-source Dijkstra starts every terminal
+//!    at distance 0 and leaves, for each reached node `v`, its nearest
+//!    terminal `r(v)`, the distance `d(r(v), v)` and one parent pointer
+//!    toward `r(v)`.  Distances follow the interior-weight convention of
+//!    [`crate::dijkstra`]: a node's weight is paid when the search leaves
+//!    it, except at a terminal, which is a path endpoint.
+//! 2. **Bridges.** Every edge `(u, v)` with `r(u) ≠ r(v)` is a bridge
+//!    between the two regions, of cost
+//!    `d(r(u), u) + w'(u) + c(u, v) + w'(v) + d(r(v), v)` (`w'` is 0 on a
+//!    terminal) — the exact cost of the terminal-to-terminal path through
+//!    it.  The cheapest bridge per region pair is kept, and Kruskal runs
+//!    over those pairs, tie-broken by `(cost, i, j)` like KMB's.
+//! 3. **Expansion.** Each chosen bridge expands into its path by walking the
+//!    parent array from both endpoints.
+//!
+//! Steps 4 and 5 are shared with KMB.  Mehlhorn's theorem says a minimum
+//! spanning tree of this bridge graph is a minimum spanning tree of the
+//! complete distance graph, so the step-2 tree weight of the paper's
+//! Algorithm 1 and the 2(1 − 1/l) bound are unchanged, and with generic
+//! weights (distinct path costs) the tree is exactly KMB's.  Ties in
+//! small-integer weights may pick a different tree of the same step-2 MST
+//! weight.  The KMB kernel this replaced is kept in [`mod@kmb`] as the
+//! differential oracle.
+//!
 //! # Allocation discipline
 //!
 //! The hot serving path runs this kernel once per uncached request, so the
-//! implementation is allocation-lean: all per-run state lives in a reusable
-//! [`SteinerScratch`].  Three structural decisions carry the win over the
-//! original implementation (kept in [`mod@reference`] for differential testing
-//! and as the perf-trajectory baseline):
-//!
-//! * **lazy witness paths** — step 1 used to materialise all K² terminal
-//!   pair paths as `Vec<Vec<Option<ShortestPath>>>`; now each of the K
-//!   single-source runs leaves one flat, offset-indexed parent/distance
-//!   snapshot in the scratch's closure path store, the MST of step 2 runs
-//!   over distances only, and only the K−1 *chosen* closure edges are ever
-//!   expanded back into node sequences (step 3) by walking the snapshot;
-//! * **early-terminated searches** — each metric-closure Dijkstra stops as
-//!   soon as the last terminal settles
-//!   ([`crate::dijkstra::single_source_to_targets_into`]) instead of
-//!   settling the whole graph, and disconnection is detected from the
-//!   distance array alone;
-//! * **worklist pruning** — step 5 used to rebuild a `HashMap` degree table
-//!   per prune iteration (O(E·iterations)); it is now a single O(V + E)
-//!   pass over generation-stamped degree counters and a leaf worklist.
+//! implementation is allocation-free in steady state: all per-run state
+//! lives in a reusable [`SteinerScratch`].  The Voronoi search, the bridge
+//! matrix, step 4's [`mst_of_subset_into`] and step 5 all run over
+//! generation-stamped buffers that grow to the largest instance seen.  Step
+//! 5 prunes with a single O(V + E) pass over stamped degree counters and a
+//! leaf worklist.  The original implementation is kept in
+//! [`mod@reference`] as the perf-trajectory baseline.
 
-use crate::dijkstra::{single_source_to_targets_into, DijkstraScratch};
-use crate::mst::{mst_of_subset, UnionFind};
+use crate::dijkstra::DijkstraScratch;
+use crate::mst::{mst_of_subset_into, SubsetMstScratch, UnionFind};
 use crate::{GraphError, NodeId, WeightedGraph};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A Steiner tree returned by [`steiner_tree`].
 #[derive(Debug, Clone, PartialEq)]
@@ -134,10 +154,10 @@ impl SteinerTree {
 /// after and report the difference (see `StageTimings` in `rpg-repager`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteinerCounters {
-    /// KMB invocations served by this scratch.
+    /// Kernel invocations served by this scratch.
     pub runs: u64,
     /// Buffer growth (heap allocation) events, including the inner Dijkstra
-    /// scratch's.  Flat across steady-state runs after warm-up.
+    /// and step-4 scratches'.  Flat across steady-state runs after warm-up.
     pub allocations: u64,
     /// Closure edges whose witness paths were actually expanded (K−1 per
     /// run).
@@ -148,6 +168,12 @@ pub struct SteinerCounters {
     pub paths_skipped: u64,
     /// Non-terminal leaves removed by step 5's worklist pruning.
     pub pruned_leaves: u64,
+    /// Nodes settled by Mehlhorn's multi-source search: at most the node
+    /// count per run, where KMB settles up to K−1 times as many.
+    pub nodes_settled: u64,
+    /// Inter-region edges Mehlhorn's kernel scanned as bridges: at most the
+    /// edge count per run.
+    pub bridges_scanned: u64,
 }
 
 impl SteinerCounters {
@@ -160,14 +186,15 @@ impl SteinerCounters {
             paths_expanded: self.paths_expanded - earlier.paths_expanded,
             paths_skipped: self.paths_skipped - earlier.paths_skipped,
             pruned_leaves: self.pruned_leaves - earlier.pruned_leaves,
+            nodes_settled: self.nodes_settled - earlier.nodes_settled,
+            bridges_scanned: self.bridges_scanned - earlier.bridges_scanned,
         }
     }
 }
 
-/// The reusable workspace of the KMB kernel: a [`DijkstraScratch`] for the
-/// metric-closure searches, the flat closure path store (per-source parent
-/// snapshots + terminal-pair distances), and the generation-stamped buffers
-/// of the leaf-pruning pass.
+/// The reusable workspace of the Steiner kernels: Mehlhorn's Voronoi search
+/// state and bridge matrix, KMB's [`DijkstraScratch`] and per-source parent
+/// snapshots, and the buffers steps 4 and 5 share.
 ///
 /// Like [`DijkstraScratch`], a `SteinerScratch` is not tied to one graph: it
 /// grows to the largest instance it has seen and is reused across graphs of
@@ -179,12 +206,27 @@ pub struct SteinerScratch {
     dijkstra: DijkstraScratch,
     /// Deduplicated, sorted terminal set of the current run.
     terms: Vec<NodeId>,
-    /// Closure path store: `parents[i * n + v]` is the predecessor of node
-    /// `v` on the cheapest path from terminal `i`'s source run
+    /// Voronoi search state, valid for node `v` while `vor_stamp[v]`
+    /// matches `vor_gen`: the distance to the region's terminal, the
+    /// region (a terminal index), the parent toward that terminal
+    /// (`u32::MAX` at the terminal itself), and whether `v` is settled.
+    vor_stamp: Vec<u32>,
+    vor_gen: u32,
+    vor_dist: Vec<f64>,
+    vor_region: Vec<u32>,
+    vor_parent: Vec<u32>,
+    vor_settled: Vec<bool>,
+    vor_heap: BinaryHeap<VoronoiEntry>,
+    /// Endpoints `(u, v)` of the cheapest bridge between regions `i < j`
+    /// at `i * k + j`, with `u` in region `i`; its cost is in `dists`.
+    bridge_ends: Vec<(u32, u32)>,
+    /// KMB's closure path store: `parents[i * n + v]` is the predecessor of
+    /// node `v` on the cheapest path from terminal `i`'s source run
     /// (`u32::MAX` = none).
     parents: Vec<u32>,
-    /// Closure distances: `dists[i * k + j]` is d(terminals\[i\],
-    /// terminals\[j\]).
+    /// Closure distances: `dists[i * k + j]` (`i < j`) is d(terminals\[i\],
+    /// terminals\[j\]) — for Mehlhorn's kernel, the cheapest bridge between
+    /// the two regions (infinite when there is none).
     dists: Vec<f64>,
     /// Node collector for step 3's expansion.
     sub_nodes: Vec<NodeId>,
@@ -195,6 +237,8 @@ pub struct SteinerScratch {
     closure_chosen: Vec<(u32, u32)>,
     /// Reusable union-find of step 2's Kruskal pass.
     closure_uf: UnionFind,
+    /// Step 4's induced-sub-graph MST buffers.
+    mst: SubsetMstScratch,
     /// Dense slot of each graph node in the current finalize pass (valid
     /// when `slot_stamp` matches `finalize_gen`).
     slot_of: Vec<u32>,
@@ -214,6 +258,35 @@ pub struct SteinerScratch {
     paths_expanded: u64,
     paths_skipped: u64,
     pruned_leaves: u64,
+    nodes_settled: u64,
+    bridges_scanned: u64,
+}
+
+/// A pending node of the Voronoi search; the heap pops the smallest
+/// `(cost, node)` first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct VoronoiEntry {
+    cost: f64,
+    node: u32,
+}
+
+impl Eq for VoronoiEntry {}
+
+impl Ord for VoronoiEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed for BinaryHeap's max-heap; costs are finite and
+        // non-negative by construction of WeightedGraph.
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then(other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for VoronoiEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Grows `vec` to `len` elements, counting a real (re)allocation into
@@ -233,17 +306,16 @@ impl SteinerScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for graphs of up to `nodes` nodes (the closure
-    /// path store still grows on first use, since its size depends on the
-    /// terminal count).
+    /// A scratch whose per-node Voronoi arrays are pre-sized for graphs of
+    /// up to `nodes` nodes (the buffers sized by the terminal count, and
+    /// the KMB kernel's, still grow on first use).
     pub fn with_capacity(nodes: usize) -> Self {
-        SteinerScratch {
-            dijkstra: DijkstraScratch::with_capacity(nodes),
-            ..Self::default()
-        }
+        let mut scratch = Self::default();
+        scratch.grow_voronoi(nodes);
+        scratch
     }
 
-    /// The inner Dijkstra workspace, for callers that also run plain
+    /// The KMB kernel's Dijkstra workspace, for callers that also run plain
     /// shortest-path queries on the same thread.
     pub fn dijkstra_mut(&mut self) -> &mut DijkstraScratch {
         &mut self.dijkstra
@@ -253,11 +325,79 @@ impl SteinerScratch {
     pub fn counters(&self) -> SteinerCounters {
         SteinerCounters {
             runs: self.runs,
-            allocations: self.grow_events + self.dijkstra.grow_events(),
+            allocations: self.grow_events + self.dijkstra.grow_events() + self.mst.grow_events(),
             paths_expanded: self.paths_expanded,
             paths_skipped: self.paths_skipped,
             pruned_leaves: self.pruned_leaves,
+            nodes_settled: self.nodes_settled,
+            bridges_scanned: self.bridges_scanned,
         }
+    }
+
+    /// The step-2 MST weight of the last multi-terminal run, either kernel:
+    /// the summed closure distances of the chosen terminal pairs.  Exposed
+    /// for the kernels' differential tests.
+    #[doc(hidden)]
+    pub fn step2_mst_weight(&self) -> f64 {
+        let k = self.terms.len();
+        if k < 2 {
+            return 0.0;
+        }
+        self.closure_chosen
+            .iter()
+            .map(|&(i, j)| self.dists[i as usize * k + j as usize])
+            .sum()
+    }
+
+    /// Grows the per-node Voronoi arrays together to `n` nodes, counting
+    /// one allocation event for the lot.  The heap and step 3's node
+    /// collector are reserved `n` slots in the same event: neither usually
+    /// holds more entries than the graph has nodes.
+    fn grow_voronoi(&mut self, n: usize) {
+        if self.vor_stamp.len() < n {
+            if self.vor_stamp.capacity() < n {
+                self.grow_events += 1;
+            }
+            self.vor_stamp.resize(n, 0);
+            self.vor_dist.resize(n, f64::INFINITY);
+            self.vor_region.resize(n, 0);
+            self.vor_parent.resize(n, u32::MAX);
+            self.vor_settled.resize(n, false);
+            self.vor_heap.clear();
+            self.vor_heap.reserve(n);
+            self.sub_nodes.clear();
+            self.sub_nodes.reserve(n);
+        }
+    }
+
+    /// Grows the K×K bridge matrix for `k` terminals, reserving step 2's
+    /// buffers sized by K in the same counted event.
+    fn grow_bridges(&mut self, k: usize) {
+        let cells = k * k;
+        if self.bridge_ends.len() < cells {
+            if self.bridge_ends.capacity() < cells {
+                self.grow_events += 1;
+            }
+            self.bridge_ends.resize(cells, (0, 0));
+            if self.dists.len() < cells {
+                self.dists.resize(cells, f64::INFINITY);
+            }
+            self.closure_edges.clear();
+            self.closure_edges.reserve(k * (k - 1) / 2);
+            self.closure_chosen.clear();
+            self.closure_chosen.reserve(k);
+            self.closure_uf.reset(k);
+        }
+    }
+
+    fn begin_voronoi(&mut self, n: usize) {
+        self.grow_voronoi(n);
+        if self.vor_gen == u32::MAX {
+            self.vor_stamp.fill(0);
+            self.vor_gen = 0;
+        }
+        self.vor_gen += 1;
+        self.vor_heap.clear();
     }
 
     fn begin_finalize(&mut self, n: usize) {
@@ -411,7 +551,7 @@ fn finalize_tree_with(
 }
 
 /// Computes an approximate node-edge weighted Steiner tree spanning
-/// `terminals` with the KMB heuristic described at the module level.
+/// `terminals` with Mehlhorn's kernel described at the module level.
 ///
 /// Errors if the terminal set is empty, contains out-of-bounds nodes, or is
 /// not contained in a single connected component of `graph`.
@@ -426,12 +566,25 @@ pub fn steiner_tree(
 
 /// [`steiner_tree`] with a caller-provided [`SteinerScratch`], so repeated
 /// runs (one per request in the serving layer, one per component in NEWST)
-/// share every buffer of the kernel: the Dijkstra workspace, the closure
-/// path store, and the pruning pass's stamped vectors.
+/// share every buffer of the kernel: the Voronoi search state, the bridge
+/// matrix, and the buffers of steps 4 and 5.
 pub fn steiner_tree_with(
     graph: &WeightedGraph,
     terminals: &[NodeId],
     scratch: &mut SteinerScratch,
+) -> Result<SteinerTree, GraphError> {
+    run_kernel(graph, terminals, scratch, mehlhorn)
+}
+
+/// A Steiner kernel over a validated, sorted and deduplicated terminal set.
+type Kernel = fn(&WeightedGraph, &[NodeId], &mut SteinerScratch) -> Result<SteinerTree, GraphError>;
+
+/// Validates and normalises `terminals`, then runs `kernel` on them.
+fn run_kernel(
+    graph: &WeightedGraph,
+    terminals: &[NodeId],
+    scratch: &mut SteinerScratch,
+    kernel: Kernel,
 ) -> Result<SteinerTree, GraphError> {
     if terminals.is_empty() {
         return Err(GraphError::EmptyTerminalSet);
@@ -445,12 +598,12 @@ pub fn steiner_tree_with(
     terms.sort_unstable();
     terms.dedup();
     scratch.runs += 1;
-    let result = kmb(graph, &terms, scratch);
+    let result = kernel(graph, &terms, scratch);
     scratch.terms = terms;
     result
 }
 
-fn kmb(
+fn mehlhorn(
     graph: &WeightedGraph,
     terms: &[NodeId],
     scratch: &mut SteinerScratch,
@@ -459,76 +612,29 @@ fn kmb(
         return Ok(finalize_tree_with(graph, terms, Vec::new(), scratch));
     }
 
-    // Step 1: metric closure over the terminals.  One early-terminated
-    // Dijkstra per terminal fills one row of the closure path store; no
-    // witness path is materialised here.  Path costs are symmetric under
-    // the node+edge convention (interior weights only, endpoints free), so
-    // source `i` only needs the strictly-later terminals `j > i`: the runs
-    // together fill the upper triangle of the distance matrix, each search
-    // stops earlier than a full-target run would, and the last terminal
-    // needs no run (and no parent row) at all.
+    // Steps 1 and 2a: the Voronoi search, which also fills the bridge
+    // matrix.
     let k = terms.len();
-    let n = graph.node_count();
-    ensure_len(
-        &mut scratch.parents,
-        (k - 1) * n,
-        u32::MAX,
-        &mut scratch.grow_events,
-    );
-    ensure_len(
-        &mut scratch.dists,
-        k * k,
-        f64::INFINITY,
-        &mut scratch.grow_events,
-    );
-    for i in 0..k - 1 {
-        let later = &terms[i + 1..];
-        single_source_to_targets_into(graph, terms[i], later, &mut scratch.dijkstra)?;
-        // Reachability check from the distance array alone: every later
-        // terminal must have been settled with a finite distance.  Any
-        // disconnection among the terminals surfaces at the first row that
-        // spans the split, so the triangle loses no coverage.
-        for (off, &t) in later.iter().enumerate() {
-            let d = scratch.dijkstra.dist(t);
-            if d.is_infinite() {
-                return Err(GraphError::TerminalsDisconnected { unreachable: t });
-            }
-            scratch.dists[i * k + (i + 1 + off)] = d;
-        }
-        let row = &mut scratch.parents[i * n..(i + 1) * n];
-        for (idx, slot) in row.iter_mut().enumerate() {
-            *slot = match scratch.dijkstra.predecessor(NodeId::from_index(idx)) {
-                Some(p) => p.index() as u32,
-                None => u32::MAX,
-            };
-        }
-    }
+    voronoi_bridges(graph, terms, scratch);
 
-    // Step 2: MST of the complete distance graph over distances only, via
-    // Kruskal straight over the upper-triangle matrix — no closure graph is
-    // materialised.  Ties break by (cost, i, j), the exact order
-    // `minimum_spanning_forest` uses, so the chosen tree is identical.
+    // Step 2b: Kruskal over the region pairs that have a bridge, with KMB's
+    // (cost, i, j) order.  `grow_bridges` sized these buffers for K.
     let pairs = k * (k - 1) / 2;
-    if scratch.closure_edges.capacity() < pairs {
-        scratch.grow_events += 1;
-    }
     scratch.closure_edges.clear();
     for i in 0..k {
         for j in (i + 1)..k {
-            scratch
-                .closure_edges
-                .push((scratch.dists[i * k + j], i as u32, j as u32));
+            let cost = scratch.dists[i * k + j];
+            if cost.is_finite() {
+                scratch.closure_edges.push((cost, i as u32, j as u32));
+            }
         }
     }
     scratch.closure_edges.sort_unstable_by(|x, y| {
         x.0.partial_cmp(&y.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
             .then(x.1.cmp(&y.1))
             .then(x.2.cmp(&y.2))
     });
-    if scratch.closure_chosen.capacity() < k - 1 {
-        scratch.grow_events += 1;
-    }
     scratch.closure_chosen.clear();
     scratch.closure_uf.reset(k);
     for &(_, i, j) in scratch.closure_edges.iter() {
@@ -539,38 +645,308 @@ fn kmb(
             }
         }
     }
+    if scratch.closure_chosen.len() < k - 1 {
+        // Every edge between reached nodes of different regions was a
+        // bridge, so the union-find now holds the terminals' components.
+        // KMB's first search (from terminal 0) reports the first terminal
+        // it cannot reach; report the same one.
+        let unreachable = (1..k)
+            .find(|&j| !scratch.closure_uf.connected(0, j))
+            .expect("fewer than K−1 unions leave a terminal apart from terminal 0");
+        return Err(GraphError::TerminalsDisconnected {
+            unreachable: terms[unreachable],
+        });
+    }
 
-    // Step 3: expand only the K−1 *chosen* closure edges back into witness
-    // paths by walking the parent snapshots; the other K·(K−1)/2 − (K−1)
-    // pairs never materialise a path.  `ci < cj` always holds, so the walk
-    // runs over row `ci`, which targeted (and therefore settled) `cj`.
+    // Step 3: expand each chosen bridge by walking the parent array from
+    // both of its endpoints to their regions' terminals.
+    let sub_capacity = scratch.sub_nodes.capacity();
     scratch.sub_nodes.clear();
-    for &(ci, cj) in scratch.closure_chosen.iter() {
-        let row = ci as usize * n;
-        let mut current = terms[cj as usize];
-        scratch.sub_nodes.push(current);
-        loop {
-            let p = scratch.parents[row + current.index()];
-            if p == u32::MAX {
-                break;
+    for &(i, j) in scratch.closure_chosen.iter() {
+        let (u, v) = scratch.bridge_ends[i as usize * k + j as usize];
+        for end in [u, v] {
+            let mut current = end;
+            while current != u32::MAX {
+                scratch.sub_nodes.push(NodeId(current));
+                current = scratch.vor_parent[current as usize];
             }
-            current = NodeId(p);
-            scratch.sub_nodes.push(current);
         }
+    }
+    scratch.sub_nodes.extend(terms.iter().copied());
+    if scratch.sub_nodes.capacity() > sub_capacity {
+        scratch.grow_events += 1;
     }
     scratch.paths_expanded += scratch.closure_chosen.len() as u64;
     scratch.paths_skipped += (pairs - scratch.closure_chosen.len()) as u64;
-    scratch.sub_nodes.extend(terms.iter().copied());
     scratch.sub_nodes.sort_unstable();
     scratch.sub_nodes.dedup();
 
     // Step 4: MST of the sub-graph of `graph` induced by the collected
-    // nodes.
-    let sub_mst = mst_of_subset(graph, &scratch.sub_nodes)?;
-    let edges = sub_mst.edge_pairs();
+    // nodes, over the scratch's buffers.
+    let mut edges = Vec::with_capacity(scratch.sub_nodes.len().saturating_sub(1));
+    mst_of_subset_into(graph, &scratch.sub_nodes, &mut scratch.mst, &mut edges)?;
 
     // Step 5 and costing.
     Ok(finalize_tree_with(graph, terms, edges, scratch))
+}
+
+/// Steps 1 and 2a of Mehlhorn's kernel in one pass: a multi-source Dijkstra
+/// from every terminal that assigns each reached node to its nearest
+/// terminal's Voronoi region and, whenever it settles a node, scans the
+/// edges back to already-settled nodes of other regions as bridges.  Both
+/// endpoints of such an edge are settled, so their distances are final, and
+/// every edge is scanned once, from whichever endpoint settles second.  The
+/// cheapest bridge per region pair lands in `dists`/`bridge_ends`.
+fn voronoi_bridges(graph: &WeightedGraph, terms: &[NodeId], scratch: &mut SteinerScratch) {
+    let k = terms.len();
+    scratch.begin_voronoi(graph.node_count());
+    scratch.grow_bridges(k);
+    scratch.dists[..k * k].fill(f64::INFINITY);
+    let heap_capacity = scratch.vor_heap.capacity();
+    let gen = scratch.vor_gen;
+    let SteinerScratch {
+        vor_stamp: stamp,
+        vor_dist: dist,
+        vor_region: region,
+        vor_parent: parent,
+        vor_settled: settled,
+        vor_heap: heap,
+        dists,
+        bridge_ends,
+        ..
+    } = scratch;
+
+    for (i, &t) in terms.iter().enumerate() {
+        let v = t.index();
+        stamp[v] = gen;
+        dist[v] = 0.0;
+        region[v] = i as u32;
+        parent[v] = u32::MAX;
+        settled[v] = false;
+        heap.push(VoronoiEntry {
+            cost: 0.0,
+            node: t.0,
+        });
+    }
+
+    let mut nodes_settled = 0u64;
+    let mut bridges_scanned = 0u64;
+    while let Some(VoronoiEntry { cost, node }) = heap.pop() {
+        let x = node as usize;
+        if settled[x] {
+            continue;
+        }
+        settled[x] = true;
+        nodes_settled += 1;
+        let rx = region[x];
+        // A terminal is a path endpoint: leaving it adds no weight.
+        let wx = if parent[x] == u32::MAX {
+            0.0
+        } else {
+            graph.node_weight(NodeId(node))
+        };
+        for &(next, edge_cost) in graph.neighbors(NodeId(node)) {
+            let y = next.index();
+            let reached = stamp[y] == gen;
+            if reached && settled[y] {
+                let ry = region[y];
+                if ry == rx {
+                    continue;
+                }
+                bridges_scanned += 1;
+                let wy = if parent[y] == u32::MAX {
+                    0.0
+                } else {
+                    graph.node_weight(next)
+                };
+                // Summed from the lower region's side, `edge + interior
+                // weight` per step like KMB's search from that terminal, so
+                // a bridge ending at the other terminal costs the same bits.
+                let (i, j, u, v, bridge) = if rx < ry {
+                    (rx, ry, node, next.0, cost + edge_cost + wx + wy + dist[y])
+                } else {
+                    (ry, rx, next.0, node, dist[y] + edge_cost + wy + wx + cost)
+                };
+                let slot = i as usize * k + j as usize;
+                if bridge < dists[slot] {
+                    dists[slot] = bridge;
+                    bridge_ends[slot] = (u, v);
+                }
+                continue;
+            }
+            let candidate = cost + edge_cost + wx;
+            if !reached || candidate < dist[y] {
+                stamp[y] = gen;
+                dist[y] = candidate;
+                region[y] = rx;
+                parent[y] = node;
+                settled[y] = false;
+                heap.push(VoronoiEntry {
+                    cost: candidate,
+                    node: next.0,
+                });
+            }
+        }
+    }
+    scratch.nodes_settled += nodes_settled;
+    scratch.bridges_scanned += bridges_scanned;
+    if scratch.vor_heap.capacity() > heap_capacity {
+        scratch.grow_events += 1;
+    }
+}
+
+pub mod kmb {
+    //! The Kou–Markowsky–Berman kernel that served before Mehlhorn's, kept
+    //! verbatim as the differential oracle of [`super::steiner_tree_with`].
+    //!
+    //! Step 1 runs one early-terminated single-source Dijkstra per terminal
+    //! over the upper triangle of the metric closure, each leaving a flat
+    //! parent snapshot in the scratch's closure path store; step 2 is
+    //! Kruskal over the distance matrix, and step 3 expands only the K−1
+    //! chosen closure edges by walking those snapshots.  Steps 4 and 5 are
+    //! the same as Mehlhorn's, except that step 4 calls the allocating
+    //! [`mst_of_subset`].  It also feeds `rpg bench`'s `steiner_tree_kmb`,
+    //! the numerator of the gated `mehlhorn_speedup_vs_kmb` and the
+    //! denominator of `kmb_speedup_vs_reference`.
+
+    use super::{ensure_len, finalize_tree_with, run_kernel, SteinerScratch, SteinerTree};
+    use crate::dijkstra::single_source_to_targets_into;
+    use crate::mst::mst_of_subset;
+    use crate::{GraphError, NodeId, WeightedGraph};
+
+    /// Computes the Steiner tree of [`super::steiner_tree_with`] with the
+    /// KMB kernel: same validation, errors, counters (except
+    /// `nodes_settled` and `bridges_scanned`, which stay flat) and scratch.
+    pub fn steiner_tree_kmb_with(
+        graph: &WeightedGraph,
+        terminals: &[NodeId],
+        scratch: &mut SteinerScratch,
+    ) -> Result<SteinerTree, GraphError> {
+        run_kernel(graph, terminals, scratch, kmb)
+    }
+
+    fn kmb(
+        graph: &WeightedGraph,
+        terms: &[NodeId],
+        scratch: &mut SteinerScratch,
+    ) -> Result<SteinerTree, GraphError> {
+        if terms.len() == 1 {
+            return Ok(finalize_tree_with(graph, terms, Vec::new(), scratch));
+        }
+
+        // Step 1: metric closure over the terminals.  One early-terminated
+        // Dijkstra per terminal fills one row of the closure path store; no
+        // witness path is materialised here.  Path costs are symmetric under
+        // the node+edge convention (interior weights only, endpoints free), so
+        // source `i` only needs the strictly-later terminals `j > i`: the runs
+        // together fill the upper triangle of the distance matrix, each search
+        // stops earlier than a full-target run would, and the last terminal
+        // needs no run (and no parent row) at all.
+        let k = terms.len();
+        let n = graph.node_count();
+        ensure_len(
+            &mut scratch.parents,
+            (k - 1) * n,
+            u32::MAX,
+            &mut scratch.grow_events,
+        );
+        ensure_len(
+            &mut scratch.dists,
+            k * k,
+            f64::INFINITY,
+            &mut scratch.grow_events,
+        );
+        for i in 0..k - 1 {
+            let later = &terms[i + 1..];
+            single_source_to_targets_into(graph, terms[i], later, &mut scratch.dijkstra)?;
+            // Reachability check from the distance array alone: every later
+            // terminal must have been settled with a finite distance.  Any
+            // disconnection among the terminals surfaces at the first row that
+            // spans the split, so the triangle loses no coverage.
+            for (off, &t) in later.iter().enumerate() {
+                let d = scratch.dijkstra.dist(t);
+                if d.is_infinite() {
+                    return Err(GraphError::TerminalsDisconnected { unreachable: t });
+                }
+                scratch.dists[i * k + (i + 1 + off)] = d;
+            }
+            let row = &mut scratch.parents[i * n..(i + 1) * n];
+            for (idx, slot) in row.iter_mut().enumerate() {
+                *slot = match scratch.dijkstra.predecessor(NodeId::from_index(idx)) {
+                    Some(p) => p.index() as u32,
+                    None => u32::MAX,
+                };
+            }
+        }
+
+        // Step 2: MST of the complete distance graph over distances only, via
+        // Kruskal straight over the upper-triangle matrix — no closure graph is
+        // materialised.  Ties break by (cost, i, j), the exact order
+        // `minimum_spanning_forest` uses, so the chosen tree is identical.
+        let pairs = k * (k - 1) / 2;
+        if scratch.closure_edges.capacity() < pairs {
+            scratch.grow_events += 1;
+        }
+        scratch.closure_edges.clear();
+        for i in 0..k {
+            for j in (i + 1)..k {
+                scratch
+                    .closure_edges
+                    .push((scratch.dists[i * k + j], i as u32, j as u32));
+            }
+        }
+        scratch.closure_edges.sort_unstable_by(|x, y| {
+            x.0.partial_cmp(&y.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(x.1.cmp(&y.1))
+                .then(x.2.cmp(&y.2))
+        });
+        if scratch.closure_chosen.capacity() < k - 1 {
+            scratch.grow_events += 1;
+        }
+        scratch.closure_chosen.clear();
+        scratch.closure_uf.reset(k);
+        for &(_, i, j) in scratch.closure_edges.iter() {
+            if scratch.closure_uf.union(i as usize, j as usize) {
+                scratch.closure_chosen.push((i, j));
+                if scratch.closure_chosen.len() == k - 1 {
+                    break;
+                }
+            }
+        }
+
+        // Step 3: expand only the K−1 *chosen* closure edges back into witness
+        // paths by walking the parent snapshots; the other K·(K−1)/2 − (K−1)
+        // pairs never materialise a path.  `ci < cj` always holds, so the walk
+        // runs over row `ci`, which targeted (and therefore settled) `cj`.
+        scratch.sub_nodes.clear();
+        for &(ci, cj) in scratch.closure_chosen.iter() {
+            let row = ci as usize * n;
+            let mut current = terms[cj as usize];
+            scratch.sub_nodes.push(current);
+            loop {
+                let p = scratch.parents[row + current.index()];
+                if p == u32::MAX {
+                    break;
+                }
+                current = NodeId(p);
+                scratch.sub_nodes.push(current);
+            }
+        }
+        scratch.paths_expanded += scratch.closure_chosen.len() as u64;
+        scratch.paths_skipped += (pairs - scratch.closure_chosen.len()) as u64;
+        scratch.sub_nodes.extend(terms.iter().copied());
+        scratch.sub_nodes.sort_unstable();
+        scratch.sub_nodes.dedup();
+
+        // Step 4: MST of the sub-graph of `graph` induced by the collected
+        // nodes.
+        let sub_mst = mst_of_subset(graph, &scratch.sub_nodes)?;
+        let edges = sub_mst.edge_pairs();
+
+        // Step 5 and costing.
+        Ok(finalize_tree_with(graph, terms, edges, scratch))
+    }
 }
 
 pub mod reference {
@@ -712,6 +1088,7 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::kmb::steiner_tree_kmb_with;
     use super::reference::steiner_tree_reference;
     use super::*;
 
@@ -855,9 +1232,9 @@ mod tests {
         }
     }
 
-    /// The satellite's independent pruning assertion: a deep dangling chain
-    /// must be removed in one worklist pass, and the result must equal what
-    /// the iterative reference pruning produces.
+    /// Step 5 on its own: a deep dangling chain must be removed in one
+    /// worklist pass, leaving exactly the tree the iterative reference
+    /// pruning leaves.
     #[test]
     fn finalize_prunes_a_long_caterpillar_tail_in_one_pass() {
         // Spine 0..=9 (terminals 0 and 9), with a 500-node tail hanging off
@@ -873,6 +1250,7 @@ mod tests {
             g.add_edge(NodeId(i - 1), NodeId(i), 1.0).unwrap();
             edges.push((NodeId(i - 1), NodeId(i)));
         }
+        let spine_edges = edges.clone();
         let mut prev = NodeId(5);
         for i in 0..tail {
             let next = NodeId(spine + i);
@@ -890,30 +1268,27 @@ mod tests {
         let mut scratch = SteinerScratch::new();
         let pruned = finalize_tree_with(&g, &terminals, edges.clone(), &mut scratch);
         assert!(pruned.is_tree());
-        assert_eq!(pruned.nodes.len(), spine as usize, "only the spine stays");
-        assert_eq!(pruned.edges.len(), spine as usize - 1);
-        assert!(!pruned.contains(NodeId(spine)), "tail head pruned");
-        assert!(!pruned.contains(prev), "tail end pruned");
+        let spine_nodes: Vec<NodeId> = (0..spine).map(NodeId).collect();
+        assert_eq!(pruned.nodes, spine_nodes, "only the spine stays");
+        assert_eq!(pruned.edges, spine_edges, "in the input's edge order");
         assert_eq!(
             scratch.counters().pruned_leaves,
             (tail + spine) as u64,
             "every tail node and every whisker is pruned exactly once"
         );
 
-        // The terminal whiskers are also pruned (degree-1 non-terminals),
-        // and the worklist result matches the iterative reference exactly.
-        let via_reference = {
-            let terminals: Vec<NodeId> = terminals.to_vec();
-            steiner_tree_reference(&g, &terminals)
+        // `g` is itself a tree, so the reference's steps 1–4 keep exactly
+        // the 0–9 spine and its own pruning must agree with the worklist.
+        let via_reference = steiner_tree_reference(&g, &terminals).unwrap();
+        assert_eq!(pruned.nodes, via_reference.nodes);
+        let edge_set = |edges: &[(NodeId, NodeId)]| {
+            let mut set: Vec<(NodeId, NodeId)> =
+                edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+            set.sort_unstable();
+            set
         };
-        // Reference runs the whole KMB pipeline, whose step-4 MST may pick a
-        // different (equal-cost) tree; compare the pruning itself instead by
-        // asserting the pruned edge set equals the spine.
-        assert!(via_reference.is_ok());
-        for w in pruned.edges.windows(1) {
-            let (a, b) = w[0];
-            assert!(a.0 < spine && b.0 < spine);
-        }
+        assert_eq!(edge_set(&pruned.edges), edge_set(&via_reference.edges));
+        assert_eq!(pruned.total_cost, via_reference.total_cost);
     }
 
     #[test]
@@ -927,16 +1302,102 @@ mod tests {
         assert!(first.allocations > 0, "first run must allocate buffers");
         assert_eq!(first.paths_expanded, 2, "K−1 closure edges expanded");
         assert_eq!(first.paths_skipped, 1, "K(K−1)/2 − (K−1) pairs skipped");
-        // A steady-state rerun of the same instance allocates nothing new.
+        assert!(
+            scratch.mst.grow_events() > 0,
+            "step 4's buffers are scratch-owned and counted"
+        );
+        // A steady-state rerun of the same instance allocates nothing new,
+        // step 4 included.
         steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
         let second = scratch.counters().since(&first);
         assert_eq!(second.runs, 1);
         assert_eq!(second.allocations, 0, "steady state is allocation-free");
+        assert_eq!(second.paths_expanded, 2);
+        assert_eq!(second.paths_skipped, 1);
+
+        // A chain 0 - 1 - … - 10 with the six even nodes as terminals: only
+        // neighbouring regions share a bridge, so step 2 sees 5 of the 15
+        // terminal pairs, and a warm rerun must still allocate nothing.
+        let mut chain = WeightedGraph::with_zero_weights(11);
+        for i in 1..11 {
+            chain.add_edge(NodeId(i - 1), NodeId(i), 1.0).unwrap();
+        }
+        let terminals: Vec<NodeId> = (0..11).step_by(2).map(NodeId).collect();
+        steiner_tree_with(&chain, &terminals, &mut scratch).unwrap();
+        let warm = scratch.counters();
+        let tree = steiner_tree_with(&chain, &terminals, &mut scratch).unwrap();
+        assert_eq!(tree.nodes.len(), 11);
+        let rerun = scratch.counters().since(&warm);
+        assert_eq!(rerun.allocations, 0, "steady state is allocation-free");
+        assert_eq!((rerun.paths_expanded, rerun.paths_skipped), (5, 10));
+    }
+
+    #[test]
+    fn one_voronoi_search_settles_each_node_at_most_once() {
+        let g = hub_graph();
+        let mut scratch = SteinerScratch::new();
+        let terminals = [NodeId(0), NodeId(1), NodeId(2)];
+        steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
+        let run = scratch.counters();
+        assert!(run.nodes_settled > 0);
+        assert!(run.nodes_settled <= g.node_count() as u64, "{run:?}");
+        assert!(run.bridges_scanned > 0);
+        assert!(run.bridges_scanned <= g.edge_count() as u64, "{run:?}");
+        // The KMB oracle leaves both counters flat.
+        steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap();
+        let kmb = scratch.counters().since(&run);
+        assert_eq!(kmb.runs, 1);
+        assert_eq!((kmb.nodes_settled, kmb.bridges_scanned), (0, 0));
+        assert_eq!((kmb.paths_expanded, kmb.paths_skipped), (2, 1));
+    }
+
+    #[test]
+    fn matches_kmb_on_fixed_instances() {
+        let g = hub_graph();
+        let mut scratch = SteinerScratch::new();
+        for terminals in [
+            vec![NodeId(0), NodeId(1), NodeId(2)],
+            vec![NodeId(0), NodeId(2)],
+            vec![NodeId(1), NodeId(4)],
+            vec![NodeId(4), NodeId(3), NodeId(2), NodeId(1), NodeId(0)],
+            vec![NodeId(3)],
+        ] {
+            let new = steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
+            let new_weight = scratch.step2_mst_weight();
+            let old = steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap();
+            assert_eq!(new.nodes, old.nodes);
+            assert_eq!(new.edges, old.edges);
+            assert_eq!(new.total_cost.to_bits(), old.total_cost.to_bits());
+            assert_eq!(new_weight, scratch.step2_mst_weight());
+        }
+    }
+
+    #[test]
+    fn disconnected_terminals_report_the_kmb_payload() {
+        // Components {0, 1, 2}, {3, 4} and {5}; KMB reports the first
+        // terminal (in sorted order) that terminal 0's search cannot reach.
+        let mut g = WeightedGraph::with_zero_weights(6);
+        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
+        g.add_edge(NodeId(3), NodeId(4), 1.0).unwrap();
+        let mut scratch = SteinerScratch::new();
+        for terminals in [
+            vec![NodeId(0), NodeId(2), NodeId(4)],
+            vec![NodeId(5), NodeId(2), NodeId(0)],
+            vec![NodeId(3), NodeId(5), NodeId(4)],
+            vec![NodeId(1), NodeId(3), NodeId(5)],
+        ] {
+            let new = steiner_tree_with(&g, &terminals, &mut scratch).unwrap_err();
+            let old = steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap_err();
+            assert_eq!(new, old, "terminals {terminals:?}");
+            assert!(matches!(new, GraphError::TerminalsDisconnected { .. }));
+        }
     }
 }
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
+    use super::kmb::steiner_tree_kmb_with;
     use super::reference::steiner_tree_reference;
     use super::*;
     use proptest::prelude::*;
@@ -965,8 +1426,114 @@ mod proptests {
         g
     }
 
+    /// A connected graph with generic (non-integer, effectively tie-free)
+    /// node weights and edge costs.
+    fn generic_float_graph(extra: &[(u32, u32, f64)], weights: &[f64]) -> WeightedGraph {
+        let n = weights.len();
+        let mut g = WeightedGraph::new(weights.to_vec()).unwrap();
+        for (i, w) in weights.iter().enumerate().skip(1) {
+            g.add_edge(
+                NodeId::from_index(i - 1),
+                NodeId::from_index(i),
+                3.0 + w / 7.0,
+            )
+            .unwrap();
+        }
+        for &(a, b, c) in extra {
+            let (a, b) = ((a as usize % n) as u32, (b as usize % n) as u32);
+            if a != b {
+                g.add_edge(NodeId(a), NodeId(b), c).unwrap();
+            }
+        }
+        g
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// With generic float weights Mehlhorn's kernel returns KMB's tree
+        /// bit for bit: same nodes, same edges in order, same cost bits.
+        #[test]
+        fn mehlhorn_matches_kmb_bitwise_on_generic_weights(
+            extra in prop::collection::vec((0u32..24, 0u32..24, 0.05f64..20.0), 0..90),
+            weights in prop::collection::vec(0.0f64..9.0, 24..25),
+            sets in prop::collection::vec(prop::collection::vec(0u32..24, 1..12), 1..4),
+        ) {
+            let g = generic_float_graph(&extra, &weights);
+            let mut scratch = SteinerScratch::new();
+            for raw_terminals in &sets {
+                let terminals: Vec<NodeId> =
+                    raw_terminals.iter().map(|&t| NodeId(t)).collect();
+                let new = steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
+                let old = steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap();
+                prop_assert_eq!(&new.nodes, &old.nodes);
+                prop_assert_eq!(&new.edges, &old.edges);
+                prop_assert_eq!(new.total_cost.to_bits(), old.total_cost.to_bits());
+            }
+        }
+
+        /// On tie-heavy small-integer weights the trees may differ, but
+        /// Mehlhorn's is still a pruned tree over every terminal, and its
+        /// step-2 MST weight equals KMB's exactly (integer sums are exact).
+        #[test]
+        fn mehlhorn_keeps_the_kmb_step2_weight_on_tied_weights(
+            extra in prop::collection::vec((0u32..16, 0u32..16, 0u16..40), 0..70),
+            weights in prop::collection::vec(0u16..10, 1..17),
+            sets in prop::collection::vec(prop::collection::vec(0u32..16, 1..9), 1..4),
+        ) {
+            let g = connected_random_graph(16, &extra, &weights);
+            let mut scratch = SteinerScratch::new();
+            for raw_terminals in &sets {
+                let terminals: Vec<NodeId> =
+                    raw_terminals.iter().map(|&t| NodeId(t)).collect();
+                let tree = steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
+                let weight = scratch.step2_mst_weight();
+                prop_assert!(tree.is_tree());
+                for &t in &terminals {
+                    prop_assert!(tree.contains(t));
+                }
+                let degree = |v: NodeId| tree.edges.iter().filter(|&&(a, b)| a == v || b == v).count();
+                for &v in &tree.nodes {
+                    prop_assert!(
+                        terminals.contains(&v) || degree(v) > 1,
+                        "non-terminal leaf {} survived pruning", v
+                    );
+                }
+                let recomputed = g.subgraph_cost(&tree.edges, &tree.nodes);
+                prop_assert!((recomputed - tree.total_cost).abs() < 1e-9);
+                steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap();
+                prop_assert_eq!(weight, scratch.step2_mst_weight());
+            }
+        }
+
+        /// Terminals spread over several components: both kernels return
+        /// the same `TerminalsDisconnected` error, payload included.
+        #[test]
+        fn disconnected_terminals_match_the_kmb_error(
+            extra in prop::collection::vec((0u32..18, 0u32..18, 0u16..40), 0..60),
+            weights in prop::collection::vec(0u16..10, 1..19),
+            raw_terminals in prop::collection::vec(0u32..18, 1..8),
+            left in 0u32..9,
+            right in 9u32..18,
+        ) {
+            // Edges never cross between nodes 0..9 and 9..18.
+            let node_weights: Vec<f64> =
+                (0..18).map(|i| f64::from(weights[i % weights.len()])).collect();
+            let mut g = WeightedGraph::new(node_weights).unwrap();
+            for &(a, b, c) in &extra {
+                let (a, b) = (a % 18, b % 18);
+                if a != b && (a < 9) == (b < 9) {
+                    g.add_edge(NodeId(a), NodeId(b), f64::from(c) + 0.5).unwrap();
+                }
+            }
+            let mut terminals: Vec<NodeId> = raw_terminals.iter().map(|&t| NodeId(t)).collect();
+            terminals.push(NodeId(left));
+            terminals.push(NodeId(right));
+            let mut scratch = SteinerScratch::new();
+            let new = steiner_tree_with(&g, &terminals, &mut scratch).unwrap_err();
+            let old = steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap_err();
+            prop_assert_eq!(new, old);
+        }
 
         /// The result is always a tree containing every terminal, and its
         /// reported cost matches an independent recomputation.
@@ -987,11 +1554,12 @@ mod proptests {
             prop_assert!((recomputed - tree.total_cost).abs() < 1e-9);
         }
 
-        /// The allocation-lean kernel is a pure refactor: over random
+        /// The allocation-lean KMB kernel is a pure refactor: over random
         /// connected graphs and terminal sets (and with an arbitrarily
         /// reused scratch) it returns exactly the tree the pre-rewrite
         /// reference implementation returns — same node set, same edge
-        /// sequence, same cost.
+        /// sequence, same cost.  (Mehlhorn's kernel may break integer-weight
+        /// ties differently; the tests above pin it against KMB.)
         #[test]
         fn matches_the_pre_rewrite_reference(
             extra in prop::collection::vec((0u32..16, 0u32..16, 0u16..40), 0..70),
@@ -1003,7 +1571,7 @@ mod proptests {
             for raw_terminals in &sets {
                 let terminals: Vec<NodeId> =
                     raw_terminals.iter().map(|&t| NodeId(t)).collect();
-                let new = steiner_tree_with(&g, &terminals, &mut scratch).unwrap();
+                let new = steiner_tree_kmb_with(&g, &terminals, &mut scratch).unwrap();
                 let old = steiner_tree_reference(&g, &terminals).unwrap();
                 prop_assert_eq!(&new.nodes, &old.nodes);
                 prop_assert_eq!(&new.edges, &old.edges);

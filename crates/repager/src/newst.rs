@@ -5,19 +5,21 @@
 //! tree of minimum total cost, where edges are cheap when the two papers
 //! discuss each other extensively (Eq. 2) and vertices are cheap when the
 //! paper is important (Eq. 3).  The optimisation itself is the KMB heuristic
-//! of `rpg_graph::steiner`; this module adapts it to the paper domain:
-//! terminals are given as corpus paper ids, and terminals that fall into
-//! different connected components of the sub-graph are handled by building
-//! one tree per component (the final reading path is then a forest, which the
-//! paper permits: "for the case of multiple citation paths … we will assign
-//! all paths").
+//! of `rpg_graph::steiner`, in Mehlhorn's form: one multi-source Voronoi
+//! search over the sub-graph per component instead of one search per
+//! terminal.  This module adapts it to the paper domain: terminals are given
+//! as corpus paper ids, and terminals that fall into different connected
+//! components of the sub-graph are handled by building one tree per
+//! component (the final reading path is then a forest, which the paper
+//! permits: "for the case of multiple citation paths … we will assign all
+//! paths").
 
 use crate::scratch::PipelineScratch;
 use crate::subgraph::SubGraph;
 use rpg_corpus::PaperId;
 use rpg_graph::components::weighted_components;
 use rpg_graph::steiner::steiner_tree_with;
-use rpg_graph::GraphError;
+use rpg_graph::{GraphError, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A Steiner tree expressed in corpus paper ids.
@@ -110,9 +112,9 @@ pub fn solve(subgraph: &SubGraph, terminals: &[PaperId]) -> Result<NewstForest, 
 }
 
 /// [`solve`] with a caller-provided [`PipelineScratch`], so the
-/// per-component KMB runs (and the service layer's repeated requests) reuse
-/// one Steiner workspace — the Dijkstra buffers, the closure path store and
-/// the pruning pass's stamped vectors.
+/// per-component Steiner runs (and the service layer's repeated requests)
+/// reuse one Steiner workspace — the Voronoi search state, the bridge
+/// matrix and the stamped vectors of steps 4 and 5.
 pub fn solve_with(
     subgraph: &SubGraph,
     terminals: &[PaperId],
@@ -135,23 +137,11 @@ pub fn solve_with(
         });
     }
 
-    // Group terminals by connected component of the weighted sub-graph.
-    let components = weighted_components(&subgraph.weighted);
-    let mut per_component: std::collections::HashMap<u32, Vec<rpg_graph::NodeId>> =
-        std::collections::HashMap::new();
-    for &local in &local_terminals {
-        per_component
-            .entry(components.label(local))
-            .or_default()
-            .push(local);
-    }
+    let groups = component_groups(subgraph, &local_terminals);
     scratch.local_terminals = local_terminals;
 
-    let mut trees = Vec::with_capacity(per_component.len());
-    let mut groups: Vec<_> = per_component.into_iter().collect();
-    // Deterministic order: largest terminal group first, then by label.
-    groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-    for (_, group) in groups {
+    let mut trees = Vec::with_capacity(groups.len());
+    for group in groups {
         let tree = steiner_tree_with(&subgraph.weighted, &group, scratch.steiner_mut())?;
         trees.push(PaperTree {
             papers: subgraph.to_papers(&tree.nodes),
@@ -168,6 +158,24 @@ pub fn solve_with(
         trees,
         dropped_terminals: dropped,
     })
+}
+
+/// Groups local terminals by connected component of the weighted sub-graph
+/// — the Steiner instances [`solve_with`] runs, one tree each — largest
+/// group first, then by component label.
+pub fn component_groups(subgraph: &SubGraph, local_terminals: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let components = weighted_components(&subgraph.weighted);
+    let mut per_component: std::collections::HashMap<u32, Vec<NodeId>> =
+        std::collections::HashMap::new();
+    for &local in local_terminals {
+        per_component
+            .entry(components.label(local))
+            .or_default()
+            .push(local);
+    }
+    let mut groups: Vec<_> = per_component.into_iter().collect();
+    groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+    groups.into_iter().map(|(_, group)| group).collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! PR 1 gave the Steiner stage a shared Dijkstra workspace; this module
 //! widens that idea to every allocating stage of the pipeline.  A
 //! [`PipelineScratch`] bundles the seed engine's term-at-a-time
-//! [`SearchScratch`], the KMB kernel's [`SteinerScratch`] and the dense
+//! [`SearchScratch`], the Steiner kernel's [`SteinerScratch`] and the dense
 //! generation-stamped counters of seed reallocation, so a serving thread
 //! that keeps one scratch for its lifetime runs the seed, realloc and
 //! steiner stages without rebuilding hash tables or reallocating buffers
@@ -86,7 +86,7 @@ impl PipelineScratch {
         Self::default()
     }
 
-    /// The KMB kernel's workspace, for callers that run the Steiner solver
+    /// The Steiner kernel's workspace, for callers that run the Steiner solver
     /// directly (e.g. the bench harness).
     pub fn steiner_mut(&mut self) -> &mut SteinerScratch {
         &mut self.steiner

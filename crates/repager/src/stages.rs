@@ -6,8 +6,8 @@
 //! into a [`StageTimings`] so per-request hot spots are observable, and
 //! threads a shared [`PipelineScratch`] through the seed, realloc and
 //! Steiner stages so the term-at-a-time seed ranking, the co-occurrence
-//! counting and the KMB heuristic's K single-source runs reuse one
-//! per-worker workspace.
+//! counting and the Steiner kernel's Voronoi search reuse one per-worker
+//! workspace.
 //!
 //! The stages borrow the corpus artifacts through a [`StageContext`], which
 //! [`serve_request`] builds once per request.
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 /// form of the allocation-free kernel claim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageCounters {
-    /// KMB solves run by the Steiner stage (one per terminal component).
+    /// Steiner solves run by the Steiner stage (one per terminal component).
     pub steiner_runs: u64,
     /// Closure witness paths actually expanded (K−1 per solve).
     pub steiner_paths_expanded: u64,

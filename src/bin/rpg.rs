@@ -570,6 +570,9 @@ fn run_bench(options: &BenchOptions) -> Result<(), String> {
     if let Some(speedup) = report.kmb_speedup() {
         eprintln!("  kmb speedup vs reference: {speedup:.2}x");
     }
+    if let Some(speedup) = report.mehlhorn_speedup() {
+        eprintln!("  mehlhorn speedup vs kmb: {speedup:.2}x");
+    }
     if let Some(speedup) = report.seed_speedup() {
         eprintln!("  seed speedup vs reference: {speedup:.2}x");
     }

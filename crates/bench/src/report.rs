@@ -61,6 +61,15 @@
 //! `kmb_speedup_vs_reference` ratio and the trajectory gate measure the same
 //! code as before.  The report carries `mehlhorn_speedup_vs_kmb`, and
 //! `--check` fails when Mehlhorn is not faster.
+//!
+//! The dense-id sub-graph build pins its win the same way: the
+//! `subgraph_build` / `subgraph_build_reference` pair builds the sub-graphs
+//! of the 48 survey queries of the `rpg serve` corpus, once through
+//! [`SubGraph::build_with`] with a warm, recycled [`PipelineScratch`] and
+//! once through the verbatim pre-rewrite construction
+//! ([`rpg_repager::subgraph::reference::build`]).  The report carries the
+//! ratio as `subgraph_speedup_vs_reference`, and `--check` fails when the
+//! rewrite is not faster.
 
 use crate::micro_corpus;
 use rpg_corpus::{generate, Corpus, CorpusConfig};
@@ -72,10 +81,10 @@ use rpg_graph::steiner::{steiner_tree_with, SteinerScratch};
 use rpg_graph::{mst, NodeId, WeightedGraph};
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::seeds::{reallocate, TerminalSelection};
-use rpg_repager::subgraph::SubGraph;
+use rpg_repager::subgraph::{self, SubGraph};
 use rpg_repager::system::PathRequest;
 use rpg_repager::weights::NodeWeights;
-use rpg_repager::RepagerConfig;
+use rpg_repager::{PipelineScratch, RepagerConfig};
 use rpg_server::api::generate_response_value;
 use rpg_server::{client, IoBackendChoice, Server, ServerConfig};
 use rpg_service::{snapshot, CorpusRegistry, CorpusSpec};
@@ -182,6 +191,14 @@ impl BenchReport {
         (new > 0.0).then(|| old / new)
     }
 
+    /// The reference-vs-rewrite speedup of the sub-graph build
+    /// (`reference_median / build_median`), when both benches ran.
+    pub fn subgraph_speedup(&self) -> Option<f64> {
+        let new = self.result("subgraph_build")?.median_ns as f64;
+        let old = self.result("subgraph_build_reference")?.median_ns as f64;
+        (new > 0.0).then(|| old / new)
+    }
+
     /// The spec-build-versus-snapshot-load speedup
     /// (`build_median / load_median`), when both benches ran — the
     /// startup/reload win the snapshot subsystem buys on this host.
@@ -268,6 +285,12 @@ impl BenchReport {
         if let Some(speedup) = self.seed_speedup() {
             fields.push((
                 "seed_speedup_vs_reference".to_string(),
+                Value::Number(speedup),
+            ));
+        }
+        if let Some(speedup) = self.subgraph_speedup() {
+            fields.push((
+                "subgraph_speedup_vs_reference".to_string(),
                 Value::Number(speedup),
             ));
         }
@@ -546,6 +569,7 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         ..CorpusConfig::small()
     });
     run_seed_benches(&serve_corpus, iters, &mut results);
+    run_subgraph_benches(&serve_corpus, iters, &mut results);
     run_encode_benches(serve_corpus, iters, &mut results);
     run_idle_exchange_benches(iters, &mut results);
     run_traced_exchange_benches(&corpus, iters, &mut results);
@@ -600,6 +624,80 @@ fn run_seed_benches(corpus: &Corpus, iters: Iterations, results: &mut Vec<BenchR
             queries
                 .iter()
                 .map(|q| bm25::reference::search(&bm25, q, limit).len())
+                .sum::<usize>()
+        },
+    ));
+}
+
+/// The `subgraph_build{,_reference}` pair: one iteration builds the
+/// sub-graphs of all 48 survey queries of the `rpg serve` corpus (each
+/// survey's year as `max_year`, the survey excluded, the engine's seeds
+/// computed once up front) — through [`SubGraph::build_with`] with a warm
+/// scratch that gets every sub-graph back, then through the verbatim
+/// pre-rewrite [`subgraph::reference::build`].
+fn run_subgraph_benches(corpus: &Corpus, iters: Iterations, results: &mut Vec<BenchResult>) {
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("serve corpus builds");
+    let config = RepagerConfig::default();
+    let instances: Vec<(Vec<rpg_corpus::PaperId>, u16, [rpg_corpus::PaperId; 1])> = corpus
+        .survey_bank()
+        .iter()
+        .map(|survey| {
+            let exclude = [survey.paper];
+            let seeds = artifacts.scholar().seed_papers(&Query {
+                text: &survey.query,
+                top_k: config.seed_count,
+                max_year: Some(survey.year),
+                exclude: &exclude,
+            });
+            (seeds, survey.year, exclude)
+        })
+        .collect();
+    let mut scratch = PipelineScratch::new();
+    results.push(run_bench(
+        "subgraph_build",
+        iters.service,
+        iters.warmup,
+        || {
+            instances
+                .iter()
+                .map(|(seeds, year, exclude)| {
+                    let sg = SubGraph::build_with(
+                        artifacts.corpus(),
+                        artifacts.node_weights(),
+                        seeds,
+                        &config,
+                        Some(*year),
+                        exclude,
+                        &mut scratch,
+                    )
+                    .expect("sub-graph builds");
+                    let edges = sg.edge_count();
+                    scratch.recycle_subgraph(sg);
+                    edges
+                })
+                .sum::<usize>()
+        },
+    ));
+    results.push(run_bench(
+        "subgraph_build_reference",
+        iters.service,
+        iters.warmup,
+        || {
+            instances
+                .iter()
+                .map(|(seeds, year, exclude)| {
+                    subgraph::reference::build(
+                        artifacts.corpus(),
+                        artifacts.node_weights(),
+                        seeds,
+                        &config,
+                        Some(*year),
+                        exclude,
+                    )
+                    .expect("sub-graph builds")
+                    .weighted
+                    .edge_count
+                })
                 .sum::<usize>()
         },
     ));
@@ -851,10 +949,10 @@ pub const MAX_HIT_VS_HEALTHZ: f64 = 2.0;
 /// 1. **same-host invariant** — the rewritten KMB kernel must not be slower
 ///    than the pre-rewrite reference measured in the same process.  This is
 ///    completely host-independent and is the teeth of the ≥ speedup claim.
-/// 2. **Mehlhorn, seed and encoder invariants** — likewise, Mehlhorn's
-///    Steiner kernel must be faster than the KMB kernel, and the
-///    term-at-a-time seed ranking and the JSON encoder must each be faster
-///    than their in-process reference.
+/// 2. **Mehlhorn, seed, sub-graph and encoder invariants** — likewise,
+///    Mehlhorn's Steiner kernel must be faster than the KMB kernel, and the
+///    term-at-a-time seed ranking, the dense-id sub-graph build and the JSON
+///    encoder must each be faster than their in-process reference.
 /// 3. **hit-versus-healthz bound** — a loopback cache-hit exchange may
 ///    cost at most [`MAX_HIT_VS_HEALTHZ`] times a loopback healthz
 ///    exchange on the same backend, a ratio host drift cancels out of.
@@ -891,6 +989,15 @@ pub fn check_regression(
         if speedup <= 1.0 {
             failures.push(format!(
                 "seed_bm25_taat is not faster than the in-process reference \
+                 (speedup {speedup:.2}x <= 1.0x)"
+            ));
+        }
+    }
+
+    if let Some(speedup) = report.subgraph_speedup() {
+        if speedup <= 1.0 {
+            failures.push(format!(
+                "subgraph_build is not faster than the in-process reference \
                  (speedup {speedup:.2}x <= 1.0x)"
             ));
         }
@@ -1115,6 +1222,38 @@ mod tests {
     }
 
     #[test]
+    fn check_fails_when_the_subgraph_build_is_not_faster_than_reference() {
+        let mut report = fake_report();
+        let bench = |name: &str, median_ns| BenchResult {
+            name: name.to_string(),
+            iters: 10,
+            median_ns,
+            min_ns: median_ns,
+            mean_ns: median_ns,
+            throughput_per_sec: 1e9 / median_ns as f64,
+        };
+        report.results.push(bench("subgraph_build", 1_000));
+        report
+            .results
+            .push(bench("subgraph_build_reference", 4_000));
+        let baseline = vec![("steiner_tree_kmb".to_string(), 100_000u64)];
+        check_regression(&report, &baseline, 2.0).unwrap();
+        let value = report.to_value();
+        let field = value
+            .get("subgraph_speedup_vs_reference")
+            .and_then(Value::as_f64)
+            .unwrap();
+        assert!((field - 4.0).abs() < 1e-9);
+        // Equal medians are not a win.
+        report.results[2].median_ns = 4_000;
+        let err = check_regression(&report, &baseline, 2.0).unwrap_err();
+        assert!(err.contains("subgraph_build is not faster"), "{err}");
+        // Without the reference bench the ratio is unknown, and so ungated.
+        report.results.pop();
+        check_regression(&report, &baseline, 2.0).unwrap();
+    }
+
+    #[test]
     fn check_fails_when_a_cache_hit_costs_over_twice_a_healthz() {
         let mut report = fake_report();
         let bench = |name: &str, median_ns| BenchResult {
@@ -1190,6 +1329,8 @@ mod tests {
             "snapshot_artifacts_load".to_string(),
             "seed_bm25_taat".to_string(),
             "seed_bm25_reference".to_string(),
+            "subgraph_build".to_string(),
+            "subgraph_build_reference".to_string(),
             "json_encode".to_string(),
             "json_encode_reference".to_string(),
         ];
@@ -1202,6 +1343,7 @@ mod tests {
         assert!(report.kmb_speedup().is_some());
         assert!(report.mehlhorn_speedup().is_some());
         assert!(report.seed_speedup().is_some());
+        assert!(report.subgraph_speedup().is_some());
         assert!(report.json_encode_speedup().is_some());
         assert!(report.serve_hit_vs_healthz().is_some());
         assert!(

@@ -44,10 +44,16 @@ impl<'a> Query<'a> {
     }
 
     /// Whether a paper passes the year and exclusion filters.
+    ///
+    /// A linear scan of `exclude`: fine for the evaluation's one-survey
+    /// lists.  The seed path marks the list once per query instead (see
+    /// [`LexicalEngine::search_with`]).
     pub fn admits(&self, paper: PaperId, year: u16) -> bool {
-        if self.exclude.contains(&paper) {
-            return false;
-        }
+        !self.exclude.contains(&paper) && self.admits_year(year)
+    }
+
+    /// Whether a paper published in `year` passes the year filter.
+    pub fn admits_year(&self, year: u16) -> bool {
         match self.max_year {
             Some(cutoff) => year <= cutoff,
             None => true,
@@ -201,12 +207,15 @@ impl LexicalEngine {
     /// Ranks the query term-at-a-time into `scratch` and returns up to
     /// `query.top_k` papers.  The year/exclusion filters and the
     /// citation/recency priors apply while the candidates are collected, so
-    /// only the top k are ever sorted.  The serving path keeps one scratch
-    /// per worker; [`SearchEngine::search`] uses a fresh one.
+    /// only the top k are ever sorted.  The exclusion list is marked in the
+    /// scratch once per query, so a hostile list of any length costs one
+    /// pass over it.  The serving path keeps one scratch per worker;
+    /// [`SearchEngine::search`] uses a fresh one.
     pub fn search_with(&self, query: &Query<'_>, scratch: &mut SearchScratch) -> Vec<PaperId> {
+        let exclude = query.exclude.iter().map(|p| p.0);
         let keep = |s: ScoredDoc| {
             let paper = PaperId(s.doc);
-            if !query.admits(paper, self.index.year(paper)) {
+            if !query.admits_year(self.index.year(paper)) {
                 return None;
             }
             let citation_prior =
@@ -227,9 +236,9 @@ impl LexicalEngine {
                     ..Default::default()
                 },
             )
-            .search_filtered(query.text, query.top_k, scratch, keep),
+            .search_filtered(query.text, query.top_k, scratch, exclude, keep),
             LexicalScoring::TfIdf => TfIdfIndex::new(inverted, self.config.title_boost)
-                .search_filtered(query.text, query.top_k, scratch, keep),
+                .search_filtered(query.text, query.top_k, scratch, exclude, keep),
         };
         ranked.iter().map(|s| PaperId(s.doc)).collect()
     }

@@ -17,7 +17,6 @@
 use crate::scratch::PipelineScratch;
 use crate::subgraph::SubGraph;
 use rpg_corpus::PaperId;
-use rpg_graph::components::weighted_components;
 use rpg_graph::steiner::steiner_tree_with;
 use rpg_graph::{GraphError, NodeId};
 use serde::{Deserialize, Serialize};
@@ -122,6 +121,7 @@ pub fn solve_with(
 ) -> Result<NewstForest, GraphError> {
     let mut dropped = Vec::new();
     let mut local_terminals = std::mem::take(&mut scratch.local_terminals);
+    let capacity = local_terminals.capacity();
     local_terminals.clear();
     for &t in terminals {
         match subgraph.local_of(t) {
@@ -129,6 +129,7 @@ pub fn solve_with(
             None => dropped.push(t),
         }
     }
+    scratch.note_growth(&[capacity], &[local_terminals.capacity()]);
     if local_terminals.is_empty() {
         scratch.local_terminals = local_terminals;
         return Ok(NewstForest {
@@ -137,7 +138,7 @@ pub fn solve_with(
         });
     }
 
-    let groups = component_groups(subgraph, &local_terminals);
+    let groups = component_groups(subgraph, &local_terminals, scratch);
     scratch.local_terminals = local_terminals;
 
     let mut trees = Vec::with_capacity(groups.len());
@@ -162,18 +163,48 @@ pub fn solve_with(
 
 /// Groups local terminals by connected component of the weighted sub-graph
 /// — the Steiner instances [`solve_with`] runs, one tree each — largest
-/// group first, then by component label.
-pub fn component_groups(subgraph: &SubGraph, local_terminals: &[NodeId]) -> Vec<Vec<NodeId>> {
-    let components = weighted_components(&subgraph.weighted);
-    let mut per_component: std::collections::HashMap<u32, Vec<NodeId>> =
-        std::collections::HashMap::new();
-    for &local in local_terminals {
-        per_component
-            .entry(components.label(local))
-            .or_default()
-            .push(local);
+/// group first, then by the component's smallest node (the order of
+/// `rpg_graph::components::weighted_components`' labels).
+///
+/// Each group's component is flooded once from its first terminal, marking
+/// every node with the group index in a scratch-owned array, so the later
+/// terminals of a component find their group by one array read.
+pub fn component_groups(
+    subgraph: &SubGraph,
+    local_terminals: &[NodeId],
+    scratch: &mut PipelineScratch,
+) -> Vec<Vec<NodeId>> {
+    const UNSEEN: u32 = u32::MAX;
+    let graph = &subgraph.weighted;
+    let before = [scratch.group_of.capacity(), scratch.flood.capacity()];
+    let (group_of, flood) = (&mut scratch.group_of, &mut scratch.flood);
+    group_of.clear();
+    group_of.resize(graph.node_count(), UNSEEN);
+    // `(smallest node of the component, its terminals)` per group.
+    let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+    for &terminal in local_terminals {
+        let group = group_of[terminal.index()];
+        if group != UNSEEN {
+            groups[group as usize].1.push(terminal);
+            continue;
+        }
+        let group = groups.len() as u32;
+        let mut smallest = terminal;
+        group_of[terminal.index()] = group;
+        flood.push(terminal);
+        while let Some(node) = flood.pop() {
+            smallest = smallest.min(node);
+            for &(next, _) in graph.neighbors(node) {
+                if group_of[next.index()] == UNSEEN {
+                    group_of[next.index()] = group;
+                    flood.push(next);
+                }
+            }
+        }
+        groups.push((smallest, vec![terminal]));
     }
-    let mut groups: Vec<_> = per_component.into_iter().collect();
+    let after = [scratch.group_of.capacity(), scratch.flood.capacity()];
+    scratch.note_growth(&before, &after);
     groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
     groups.into_iter().map(|(_, group)| group).collect()
 }

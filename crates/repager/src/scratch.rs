@@ -3,11 +3,15 @@
 //! PR 1 gave the Steiner stage a shared Dijkstra workspace; this module
 //! widens that idea to every allocating stage of the pipeline.  A
 //! [`PipelineScratch`] bundles the seed engine's term-at-a-time
-//! [`SearchScratch`], the Steiner kernel's [`SteinerScratch`] and the dense
-//! generation-stamped counters of seed reallocation, so a serving thread
-//! that keeps one scratch for its lifetime runs the seed, realloc and
-//! steiner stages without rebuilding hash tables or reallocating buffers
-//! per request.
+//! [`SearchScratch`], the sub-graph stage's buffers (the corpus-sized,
+//! generation-stamped `local_of` array, the expansion queue, the edge list,
+//! the Eq. 2 cost table and the CSR graph itself, handed back through
+//! [`PipelineScratch::recycle_subgraph`]), the dense generation-stamped
+//! counters of seed reallocation, the component flood-fill arrays and the
+//! Steiner kernel's [`SteinerScratch`], and the render stage's rank-key
+//! buffers.  A serving thread that keeps one scratch for its lifetime runs
+//! all five stages without building hash tables or growing buffers per
+//! request.
 //!
 //! The scratch also owns the pipeline's work counters: cumulative totals
 //! that [`run_pipeline`](crate::stages::run_pipeline) snapshots before and
@@ -21,7 +25,8 @@
 //! [`CorpusArtifacts::generate`](crate::CorpusArtifacts::generate) and the
 //! registry's miss path alike — reuses the same warmed buffers.
 
-use crate::stages::StageCounters;
+use crate::stages::{RankKey, StageCounters};
+use crate::subgraph::{SubGraph, SubgraphBuffers};
 use rpg_graph::steiner::SteinerScratch;
 use rpg_graph::NodeId;
 use rpg_obs::trace::StageTrace;
@@ -53,6 +58,8 @@ pub fn with_thread_scratch<T>(f: impl FnOnce(&mut PipelineScratch) -> T) -> T {
 #[derive(Debug, Default, Clone)]
 pub struct PipelineScratch {
     pub(crate) steiner: SteinerScratch,
+    /// The sub-graph stage's buffers and the last recycled sub-graph.
+    pub(crate) subgraph: SubgraphBuffers,
     /// The seed stage's term-at-a-time ranking buffers.
     pub(crate) search: SearchScratch,
     /// Terminal translation buffer of the NEWST adapter.
@@ -64,6 +71,15 @@ pub struct PipelineScratch {
     pub(crate) cooc_gen: u32,
     /// Local nodes touched by the current co-occurrence pass.
     pub(crate) touched: Vec<NodeId>,
+    /// Group index per local node, and the flood-fill stack, of
+    /// [`component_groups`](crate::newst::component_groups).
+    pub(crate) group_of: Vec<u32>,
+    pub(crate) flood: Vec<NodeId>,
+    /// The render stage's ranking buffers: co-occurrence and "already
+    /// listed" per local node, and the rank keys being sorted.
+    pub(crate) rank_cooc: Vec<usize>,
+    pub(crate) rank_listed: Vec<bool>,
+    pub(crate) rank_keys: Vec<RankKey>,
     pub(crate) realloc_retries: u64,
     pub(crate) grow_events: u64,
     /// Cooperative wall-clock budget for the *current* request: the
@@ -90,6 +106,14 @@ impl PipelineScratch {
     /// directly (e.g. the bench harness).
     pub fn steiner_mut(&mut self) -> &mut SteinerScratch {
         &mut self.steiner
+    }
+
+    /// Takes back the buffers of a sub-graph built by
+    /// [`SubGraph::build_with`], so the next build reuses them instead of
+    /// allocating.  The pipeline does this once the render stage is done
+    /// with the sub-graph.
+    pub fn recycle_subgraph(&mut self, subgraph: SubGraph) {
+        self.subgraph.recycle(subgraph);
     }
 
     /// Arms (or, with `None`, clears) the cooperative deadline the next
@@ -130,9 +154,27 @@ impl PipelineScratch {
             steiner_paths_expanded: s.paths_expanded,
             steiner_paths_skipped: s.paths_skipped,
             steiner_pruned_leaves: s.pruned_leaves,
-            scratch_allocations: s.allocations + self.grow_events + self.search.allocations(),
+            scratch_allocations: s.allocations
+                + self.grow_events
+                + self.search.allocations()
+                + self.subgraph.grow_events(),
             realloc_retries: self.realloc_retries,
         }
+    }
+
+    /// Counts one grow event per buffer whose capacity went up, given the
+    /// buffers' capacities before and after a stage used them.
+    pub(crate) fn note_growth(&mut self, before: &[usize], after: &[usize]) {
+        self.grow_events += before.iter().zip(after).filter(|(b, a)| a > b).count() as u64;
+    }
+
+    /// Capacities of the render stage's ranking buffers.
+    pub(crate) fn rank_capacities(&self) -> [usize; 3] {
+        [
+            self.rank_cooc.capacity(),
+            self.rank_listed.capacity(),
+            self.rank_keys.capacity(),
+        ]
     }
 
     /// Prepares the co-occurrence counters for a sub-graph of `n` local

@@ -91,6 +91,7 @@ pub fn cooccurrence_counts_with(
     scratch: &mut PipelineScratch,
 ) -> HashMap<PaperId, usize> {
     scratch.begin_cooc(subgraph.node_count());
+    let touched_before = scratch.touched.capacity();
     let gen = scratch.cooc_gen;
     for &seed in initial_seeds {
         for reference in corpus.references_of(seed) {
@@ -105,6 +106,7 @@ pub fn cooccurrence_counts_with(
             }
         }
     }
+    scratch.note_growth(&[touched_before], &[scratch.touched.capacity()]);
     let mut counts: HashMap<PaperId, usize> = HashMap::with_capacity(scratch.touched.len());
     for &local in &scratch.touched {
         counts.insert(

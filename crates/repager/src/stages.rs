@@ -4,10 +4,13 @@
 //! [`SubgraphStage`] → [`ReallocStage`] → [`SteinerStage`] →
 //! [`RenderStage`] — driven by [`run_pipeline`], which times every stage
 //! into a [`StageTimings`] so per-request hot spots are observable, and
-//! threads a shared [`PipelineScratch`] through the seed, realloc and
-//! Steiner stages so the term-at-a-time seed ranking, the co-occurrence
-//! counting and the Steiner kernel's Voronoi search reuse one per-worker
-//! workspace.
+//! threads a shared [`PipelineScratch`] through all five stages: the
+//! term-at-a-time seed ranking, the dense-id CSR sub-graph build, the
+//! co-occurrence counting, the component grouping and the Steiner kernel's
+//! Voronoi search, and the render stage's rank keys all reuse one
+//! per-worker workspace.  The sub-graph's buffers come from the scratch in
+//! [`SubgraphStage`] and go back to it at the end of [`RenderStage`], so a
+//! warmed worker runs a request without growing a buffer.
 //!
 //! The stages borrow the corpus artifacts through a [`StageContext`], which
 //! [`serve_request`] builds once per request.
@@ -24,6 +27,7 @@ use rpg_corpus::{Corpus, PaperId};
 use rpg_engines::{Query, ScholarEngine};
 use rpg_graph::GraphError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 /// Work counters of one pipeline run, recorded alongside the stage
@@ -143,7 +147,7 @@ pub struct StageContext<'a> {
     pub request: &'a PathRequest<'a>,
     /// The request's configuration with the variant's ablations applied.
     pub config: RepagerConfig,
-    /// Reusable per-worker workspace for the seed, realloc and Steiner stages.
+    /// Reusable per-worker workspace for every stage.
     pub scratch: &'a mut PipelineScratch,
 }
 
@@ -212,13 +216,14 @@ impl Stage for SubgraphStage {
         cx: &mut StageContext<'_>,
         seeds: Vec<PaperId>,
     ) -> Result<SubgraphStageOutput, GraphError> {
-        let subgraph = SubGraph::build(
+        let subgraph = SubGraph::build_with(
             cx.corpus,
             cx.node_weights,
             &seeds,
             &cx.config,
             cx.request.max_year,
             cx.request.exclude,
+            cx.scratch,
         )?;
         Ok(SubgraphStageOutput { seeds, subgraph })
     }
@@ -337,17 +342,23 @@ impl Stage for RenderStage {
             ReadingPath::default()
         };
         let reading_list = ranked_reading_list(cx, &subgraph, &allocation, &terminals, &forest);
+        let (subgraph_nodes, subgraph_edges) = (subgraph.node_count(), subgraph.edge_count());
+        cx.scratch.recycle_subgraph(subgraph);
         Ok(RepagerOutput {
             reading_list,
             path: reading_path,
             forest,
             seeds: allocation,
-            subgraph_nodes: subgraph.node_count(),
-            subgraph_edges: subgraph.edge_count(),
+            subgraph_nodes,
+            subgraph_edges,
             timings: StageTimings::default(),
         })
     }
 }
+
+/// The sort key of a paper in the reading list: co-occurrence count
+/// descending, then node weight ascending, then paper id.
+pub(crate) type RankKey = (Reverse<usize>, u64, PaperId);
 
 /// Builds the flattened top-K reading list.
 ///
@@ -357,45 +368,85 @@ impl Stage for RenderStage {
 /// papers, the list is padded with the remaining sub-graph candidates under
 /// the same ranking, so that precision/F1 can be evaluated at any K as in
 /// Fig. 8.
+///
+/// Each paper's key is computed once, before sorting.  The co-occurrence
+/// map is spread over a dense per-local-node array first, and a sub-graph
+/// paper's weight is read from the sub-graph, which holds the same Eq. (3)
+/// value under the same configuration; so a key costs array reads, not
+/// hash lookups.
 fn ranked_reading_list(
-    cx: &StageContext<'_>,
+    cx: &mut StageContext<'_>,
     subgraph: &SubGraph,
     allocation: &SeedAllocation,
     terminals: &[PaperId],
     forest: &NewstForest,
 ) -> Vec<PaperId> {
-    let core: Vec<PaperId> = if cx.request.variant.runs_steiner() {
+    let runs_steiner = cx.request.variant.runs_steiner();
+    let top_k = cx.request.top_k;
+    let core: Vec<PaperId> = if runs_steiner {
         forest.papers()
     } else {
         terminals.to_vec()
     };
 
-    let rank_key = |p: PaperId| {
-        let cooccurrence = allocation.cooccurrence.get(&p).copied().unwrap_or(0);
-        let weight = cx.node_weights.node_weight(p, &cx.config);
-        (std::cmp::Reverse(cooccurrence), ordered_float(weight), p)
+    let scratch = &mut *cx.scratch;
+    let before = scratch.rank_capacities();
+    let cooc = &mut scratch.rank_cooc;
+    cooc.clear();
+    cooc.resize(subgraph.node_count(), 0);
+    for (&paper, &count) in &allocation.cooccurrence {
+        if let Some(local) = subgraph.local_of(paper) {
+            cooc[local.index()] = count;
+        }
+    }
+    let cooc = &scratch.rank_cooc;
+    let (node_weights, config) = (cx.node_weights, &cx.config);
+    let rank_key = |p: PaperId| -> RankKey {
+        let (cooccurrence, weight) = match subgraph.local_of(p) {
+            Some(local) => (cooc[local.index()], subgraph.weighted.node_weight(local)),
+            None => (
+                allocation.cooccurrence.get(&p).copied().unwrap_or(0),
+                node_weights.node_weight(p, config),
+            ),
+        };
+        (Reverse(cooccurrence), ordered_float(weight), p)
     };
 
-    let mut list = core;
-    list.sort_by_key(|&p| rank_key(p));
+    let keys = &mut scratch.rank_keys;
+    keys.clear();
+    keys.extend(core.iter().map(|&p| rank_key(p)));
+    keys.sort_unstable();
+    let mut list: Vec<PaperId> = keys.iter().map(|&(_, _, p)| p).collect();
 
     // NEWST-C returns the reallocated papers themselves ("due to the
     // inability of path generation"): it is not padded up to K, which is
     // why it trades recall (F1) for precision in Table III.  The Steiner
     // variants pad with the remaining sub-graph candidates so the list
     // can be evaluated at any K.
-    if cx.request.variant.runs_steiner() && list.len() < cx.request.top_k {
-        let in_list: std::collections::HashSet<PaperId> = list.iter().copied().collect();
-        let mut extension: Vec<PaperId> = subgraph
-            .papers()
-            .iter()
-            .copied()
-            .filter(|p| !in_list.contains(p))
-            .collect();
-        extension.sort_by_key(|&p| rank_key(p));
-        list.extend(extension);
+    if runs_steiner && list.len() < top_k {
+        let listed = &mut scratch.rank_listed;
+        listed.clear();
+        listed.resize(subgraph.node_count(), false);
+        for &p in &list {
+            if let Some(local) = subgraph.local_of(p) {
+                listed[local.index()] = true;
+            }
+        }
+        keys.clear();
+        keys.extend(
+            subgraph
+                .papers()
+                .iter()
+                .zip(listed.iter())
+                .filter(|&(_, &listed)| !listed)
+                .map(|(&p, _)| rank_key(p)),
+        );
+        keys.sort_unstable();
+        list.extend(keys.iter().map(|&(_, _, p)| p));
     }
-    list.truncate(cx.request.top_k);
+    list.truncate(top_k);
+    let after = scratch.rank_capacities();
+    scratch.note_growth(&before, &after);
     list
 }
 
@@ -579,17 +630,19 @@ mod tests {
         assert!(labels.contains(&"scratch_allocations"));
     }
 
+    /// The `rpg serve` default corpus and its 48 survey queries, as the
+    /// server's miss path runs them.
+    fn serve_artifacts() -> std::sync::Arc<crate::artifacts::CorpusArtifacts> {
+        crate::artifacts::CorpusArtifacts::build(rpg_corpus::generate(&rpg_corpus::CorpusConfig {
+            seed: 0xDE40,
+            ..rpg_corpus::CorpusConfig::small()
+        }))
+        .unwrap()
+    }
+
     #[test]
     fn warmed_scratch_runs_the_seed_stage_without_allocating() {
-        // The `rpg serve` default corpus and its 48 survey queries, as the
-        // server's miss path runs them.
-        let artifacts = crate::artifacts::CorpusArtifacts::build(rpg_corpus::generate(
-            &rpg_corpus::CorpusConfig {
-                seed: 0xDE40,
-                ..rpg_corpus::CorpusConfig::small()
-            },
-        ))
-        .unwrap();
+        let artifacts = serve_artifacts();
         let bank = artifacts.corpus().survey_bank();
         assert_eq!(bank.iter().count(), 48);
         let mut scratch = PipelineScratch::new();
@@ -623,5 +676,110 @@ mod tests {
             0,
             "a warmed seed stage allocates nothing"
         );
+    }
+
+    #[test]
+    fn warmed_scratch_runs_the_whole_pipeline_without_allocating() {
+        let artifacts = serve_artifacts();
+        let bank = artifacts.corpus().survey_bank();
+        let mut scratch = PipelineScratch::new();
+        // Every stage, the sub-graph build and the render included, reuses
+        // the scratch: after one sweep nothing grows, whatever the order of
+        // the queries or their `top_k`.
+        let sweep = |scratch: &mut PipelineScratch, reverse: bool| {
+            let before = scratch.counters();
+            let mut surveys: Vec<_> = bank.iter().collect();
+            if reverse {
+                surveys.reverse();
+            }
+            for (i, survey) in surveys.into_iter().enumerate() {
+                let exclude = [survey.paper];
+                let request = PathRequest {
+                    max_year: Some(survey.year),
+                    exclude: &exclude,
+                    ..PathRequest::new(&survey.query, [10, 20, 30, 40][i % 4])
+                };
+                let mut cx = StageContext {
+                    corpus: artifacts.corpus(),
+                    scholar: artifacts.scholar(),
+                    node_weights: artifacts.node_weights(),
+                    request: &request,
+                    config: request.variant.apply(request.config),
+                    scratch: &mut *scratch,
+                };
+                let output = run_pipeline(&mut cx).unwrap();
+                assert!(!output.reading_list.is_empty());
+            }
+            scratch.counters().since(&before).scratch_allocations
+        };
+        assert!(
+            sweep(&mut scratch, false) > 0,
+            "the cold sweep grows buffers"
+        );
+        assert_eq!(
+            sweep(&mut scratch, false),
+            0,
+            "a warmed pipeline allocates nothing"
+        );
+        assert_eq!(sweep(&mut scratch, true), 0, "in any query order");
+    }
+
+    #[test]
+    fn reading_list_ranks_like_the_map_keyed_sort() {
+        // The ranking as first written: the key looked up in the
+        // co-occurrence map and the Eq. 3 table, tree papers first, then the
+        // other sub-graph papers, each part sorted by that key.
+        let artifacts = serve_artifacts();
+        let mut scratch = PipelineScratch::new();
+        for survey in artifacts.corpus().survey_bank().iter() {
+            for (variant, top_k) in [
+                (crate::Variant::Newst, 400),
+                (crate::Variant::CandidatesOnly, 30),
+            ] {
+                let request = PathRequest {
+                    max_year: Some(survey.year),
+                    variant,
+                    ..PathRequest::new(&survey.query, top_k)
+                };
+                let config = request.variant.apply(request.config);
+                let mut cx = StageContext {
+                    corpus: artifacts.corpus(),
+                    scholar: artifacts.scholar(),
+                    node_weights: artifacts.node_weights(),
+                    request: &request,
+                    config,
+                    scratch: &mut scratch,
+                };
+                let seeds = SeedStage.run(&mut cx, ()).unwrap();
+                let sg = SubgraphStage.run(&mut cx, seeds).unwrap();
+                let realloc = ReallocStage.run(&mut cx, sg).unwrap();
+                let steiner = SteinerStage.run(&mut cx, realloc).unwrap();
+                let key = |p: PaperId| {
+                    let cooc = steiner.allocation.cooccurrence.get(&p).copied();
+                    let weight = artifacts.node_weights().node_weight(p, &config);
+                    (std::cmp::Reverse(cooc.unwrap_or(0)), weight.to_bits(), p)
+                };
+                let mut expected = if variant.runs_steiner() {
+                    steiner.forest.papers()
+                } else {
+                    steiner.terminals.clone()
+                };
+                expected.sort_by_key(|&p| key(p));
+                if variant.runs_steiner() {
+                    let mut rest: Vec<PaperId> = steiner
+                        .subgraph
+                        .papers()
+                        .iter()
+                        .copied()
+                        .filter(|p| !expected.contains(p))
+                        .collect();
+                    rest.sort_by_key(|&p| key(p));
+                    expected.extend(rest);
+                }
+                expected.truncate(top_k);
+                let output = RenderStage.run(&mut cx, steiner).unwrap();
+                assert_eq!(output.reading_list, expected, "{:?}", survey.query);
+            }
+        }
     }
 }

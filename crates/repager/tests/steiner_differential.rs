@@ -58,7 +58,7 @@ fn assert_kernels_agree(label: &str, config: &CorpusConfig, surveys: &[Survey]) 
             let realloc = ReallocStage.run(&mut cx, subgraph).expect("realloc stage");
             let locals = realloc.subgraph.to_local(&realloc.terminals);
             let graph = &realloc.subgraph.weighted;
-            for group in component_groups(&realloc.subgraph, &locals) {
+            for group in component_groups(&realloc.subgraph, &locals, &mut pipeline) {
                 let context = format!("{label}: {:?} top_k {top_k}, {group:?}", survey.query);
                 let new = steiner_tree_with(graph, &group, &mut mehlhorn).expect(&context);
                 let old = steiner_tree_kmb_with(graph, &group, &mut kmb).expect(&context);

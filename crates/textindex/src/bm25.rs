@@ -80,18 +80,21 @@ impl<'a> Bm25Index<'a> {
         limit: usize,
         scratch: &'s mut SearchScratch,
     ) -> &'s [ScoredDoc] {
-        self.search_filtered(query, limit, scratch, Some)
+        self.search_filtered(query, limit, scratch, [], Some)
     }
 
-    /// [`Bm25Index::search_with`] where `keep` filters and re-scores each
-    /// positive-scoring document before the top-`limit` cut (`None` drops
-    /// it) — how an engine applies its eligibility filters and ranking
-    /// priors without materialising the full ranking.
+    /// [`Bm25Index::search_with`] where the documents in `exclude` never
+    /// rank, and `keep` filters and re-scores each other positive-scoring
+    /// document before the top-`limit` cut (`None` drops it) — how an
+    /// engine applies its eligibility filters and ranking priors without
+    /// materialising the full ranking.  `exclude` is read once, so each
+    /// document's exclusion test is O(1) however long the list.
     pub fn search_filtered<'s>(
         &self,
         query: &str,
         limit: usize,
         scratch: &'s mut SearchScratch,
+        exclude: impl IntoIterator<Item = DocId>,
         keep: impl FnMut(ScoredDoc) -> Option<ScoredDoc>,
     ) -> &'s [ScoredDoc] {
         let p = self.params;
@@ -105,7 +108,7 @@ impl<'a> Bm25Index<'a> {
                 avg_len,
             },
         );
-        scratch.top_k(limit, keep)
+        scratch.top_k(limit, exclude, keep)
     }
 }
 

@@ -166,14 +166,27 @@ impl SearchScratch {
     }
 
     /// The top `limit` of the last query's positive-scoring documents under
-    /// [`ranking_order`], after `keep` filters and re-scores each one
-    /// (`None` drops it).  Selects before sorting, so only the survivors
-    /// are sorted.
+    /// [`ranking_order`], leaving out the documents in `exclude`, after
+    /// `keep` filters and re-scores each one (`None` drops it).  Selects
+    /// before sorting, so only the survivors are sorted.
+    ///
+    /// An excluded document the query touched has its score zeroed, which
+    /// drops it with the non-positive ones: one slot write per listed id,
+    /// and ids the query never touched (or beyond the index) cost nothing
+    /// more.
     pub(crate) fn top_k(
         &mut self,
         limit: usize,
+        exclude: impl IntoIterator<Item = DocId>,
         mut keep: impl FnMut(ScoredDoc) -> Option<ScoredDoc>,
     ) -> &[ScoredDoc] {
+        for doc in exclude {
+            if let Some(slot) = self.slots.get_mut(doc as usize) {
+                if slot.query_stamp == self.query_gen {
+                    slot.score = 0.0;
+                }
+            }
+        }
         let cap = self.ranked.capacity();
         self.ranked.clear();
         for &doc in &self.touched {
@@ -288,6 +301,20 @@ mod tests {
             bm25.search_with(query, 10, &mut scratch);
         }
         assert_eq!(scratch.allocations(), warmed, "a warmed scratch reuses");
+    }
+
+    #[test]
+    fn excluded_documents_never_rank_and_do_not_outlive_their_query() {
+        let idx = index();
+        let bm25 = Bm25Index::new(&idx, Bm25Params::default());
+        let mut scratch = SearchScratch::new();
+        let all = bm25.search_with("graph neural", 10, &mut scratch).to_vec();
+        let exclude = [all[0].doc, 999_999, all[0].doc, u32::MAX];
+        let filtered = bm25
+            .search_filtered("graph neural", 10, &mut scratch, exclude, Some)
+            .to_vec();
+        assert_eq!(filtered, &all[1..]);
+        assert_eq!(bm25.search_with("graph neural", 10, &mut scratch), all);
     }
 
     #[test]

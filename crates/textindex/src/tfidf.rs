@@ -77,21 +77,22 @@ impl<'a> TfIdfIndex<'a> {
         limit: usize,
         scratch: &'s mut SearchScratch,
     ) -> &'s [ScoredDoc] {
-        self.search_filtered(query, limit, scratch, Some)
+        self.search_filtered(query, limit, scratch, [], Some)
     }
 
-    /// [`TfIdfIndex::search_with`] where `keep` filters and re-scores each
-    /// positive-scoring document before the top-`limit` cut (`None` drops
-    /// it).
+    /// [`TfIdfIndex::search_with`] where the documents in `exclude` never
+    /// rank, and `keep` filters and re-scores each other positive-scoring
+    /// document before the top-`limit` cut (`None` drops it).
     pub fn search_filtered<'s>(
         &self,
         query: &str,
         limit: usize,
         scratch: &'s mut SearchScratch,
+        exclude: impl IntoIterator<Item = DocId>,
         keep: impl FnMut(ScoredDoc) -> Option<ScoredDoc>,
     ) -> &'s [ScoredDoc] {
         scratch.accumulate(self.index, query, self);
-        scratch.top_k(limit, keep)
+        scratch.top_k(limit, exclude, keep)
     }
 }
 

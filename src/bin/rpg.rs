@@ -576,6 +576,9 @@ fn run_bench(options: &BenchOptions) -> Result<(), String> {
     if let Some(speedup) = report.seed_speedup() {
         eprintln!("  seed speedup vs reference: {speedup:.2}x");
     }
+    if let Some(speedup) = report.subgraph_speedup() {
+        eprintln!("  subgraph speedup vs reference: {speedup:.2}x");
+    }
     if let Some(speedup) = report.json_encode_speedup() {
         eprintln!("  json encode speedup vs reference: {speedup:.2}x");
     }

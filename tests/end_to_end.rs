@@ -160,3 +160,54 @@ fn generation_is_reproducible_across_processes() {
     assert_eq!(out_a.reading_list, out_b.reading_list);
     assert_eq!(out_a.path.order, out_b.path.order);
 }
+
+#[test]
+fn hostile_exclude_lists_answer_like_their_deduplicated_form() {
+    let artifacts = CorpusArtifacts::build(rpg_corpus::generate(&rpg_corpus::CorpusConfig {
+        seed: 0xDE40,
+        ..rpg_corpus::CorpusConfig::small()
+    }))
+    .expect("artifacts build");
+    let corpus = artifacts.corpus();
+    let survey = corpus.survey_bank().iter().next().expect("survey bank");
+    let papers = corpus.len() as u32;
+
+    // 100k ids: the survey and every 9th paper over and over, interleaved
+    // with ids beyond the corpus, including `u32::MAX`.
+    let mut hostile = Vec::with_capacity(100_000);
+    let mut i = 0u32;
+    while hostile.len() < 100_000 {
+        hostile.push(survey.paper);
+        hostile.push(rpg_corpus::PaperId((i * 9) % papers));
+        hostile.push(rpg_corpus::PaperId(papers + i));
+        hostile.push(rpg_corpus::PaperId(u32::MAX - i % 3));
+        i += 1;
+    }
+    let mut deduplicated: Vec<_> = hostile.iter().copied().filter(|p| p.0 < papers).collect();
+    deduplicated.sort_unstable();
+    deduplicated.dedup();
+    assert!(deduplicated.len() > 1 && deduplicated.len() < hostile.len() / 10);
+
+    for variant in [Variant::Newst, Variant::CandidatesOnly] {
+        let respond = |exclude: &[rpg_corpus::PaperId]| {
+            let request = PathRequest {
+                max_year: Some(survey.year),
+                exclude,
+                variant,
+                ..PathRequest::new(&survey.query, 30)
+            };
+            let output = artifacts.generate(&request).expect("request serves");
+            for paper in output.seeds.initial.iter().chain(&output.reading_list) {
+                assert!(
+                    deduplicated.binary_search(paper).is_err(),
+                    "{paper} excluded"
+                );
+            }
+            serde_json::to_string(&rpg_server::api::output_result_value(&output))
+                .expect("result encodes")
+        };
+        let expected = respond(&deduplicated);
+        assert_eq!(respond(&hostile), expected, "{variant}");
+        assert!(expected.contains("\"reading_list\":[") && expected.len() > 100);
+    }
+}
